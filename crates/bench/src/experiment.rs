@@ -267,11 +267,20 @@ impl From<SimError> for MeasureError {
     }
 }
 
-fn barrier_style(config: &ExperimentConfig) -> wbsn_kernels::app::BarrierStyle {
-    if config.preloaded_barrier {
-        wbsn_kernels::app::BarrierStyle::Preloaded
-    } else {
-        wbsn_kernels::app::BarrierStyle::SincSdec
+/// The image-build options of `variant` under `config` with the ADC
+/// sampling every `period` cycles.
+fn build_options(variant: RunVariant, config: &ExperimentConfig, period: u64) -> BuildOptions {
+    BuildOptions {
+        approach: variant.approach(),
+        broadcast: !config.disable_broadcast,
+        lockstep: !config.disable_lockstep,
+        barrier: if config.preloaded_barrier {
+            wbsn_kernels::app::BarrierStyle::Preloaded
+        } else {
+            wbsn_kernels::app::BarrierStyle::SincSdec
+        },
+        schedule: config.schedule,
+        adc_period_cycles: period,
     }
 }
 
@@ -322,13 +331,44 @@ fn run_window(
     Ok(platform)
 }
 
-/// The latency/stall digest of a finished measurement window.
-fn obs_summary(platform: &Platform) -> Option<ObsSummary> {
-    platform
-        .obs()
-        .recorder()
-        .and_then(|r| r.counting())
-        .map(|c| c.summary())
+/// Prices a finished, overrun-free measurement window run at
+/// `clock_hz` on operating point `op`.
+fn measurement(
+    benchmark: BenchmarkId,
+    variant: RunVariant,
+    app: &BuiltApp,
+    platform: &Platform,
+    op: OperatingPoint,
+    clock_hz: f64,
+) -> Measurement {
+    let stats = platform.stats().clone();
+    let activity = Activity::derive(&stats, &app.config, app.active_im_banks());
+    let breakdown =
+        PowerModel::default().average_power(&stats, &app.config, activity, op, clock_hz);
+    Measurement {
+        benchmark,
+        variant,
+        active_cores: app.active_cores,
+        active_im_banks: app.active_im_banks(),
+        active_dm_banks: activity.dm_banks_powered,
+        im_broadcast_percent: stats.im.broadcast_percent(),
+        dm_broadcast_percent: stats.dm.broadcast_percent(),
+        clock_hz,
+        voltage: op.voltage,
+        code_overhead_percent: app.code_overhead_percent(),
+        runtime_overhead_percent: stats.runtime_overhead_percent(),
+        breakdown,
+        stats,
+        // The latency/stall digest of the window's counting sink.
+        obs: platform
+            .obs()
+            .recorder()
+            .and_then(|r| r.counting())
+            .map(|c| c.summary()),
+        activity,
+        op,
+        platform_config: app.config.clone(),
+    }
 }
 
 /// Measures one `(benchmark, variant)` configuration.
@@ -363,21 +403,16 @@ pub fn measure_cached(
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
     let vfs = VfsTable::ninety_nm_low_leakage();
-    let model = PowerModel::default();
     let interconnect = variant.interconnect();
+    let build = |period: u64| {
+        let options = build_options(variant, config, period);
+        cache.get_or_build(benchmark, variant.arch(), &options, params)
+    };
 
     // 1. Seed the search with the average per-sample demand (measured at
     // a generous reference clock where real time trivially holds).
     let calib_period = 20_000u64;
-    let options = BuildOptions {
-        approach: variant.approach(),
-        broadcast: !config.disable_broadcast,
-        lockstep: !config.disable_lockstep,
-        barrier: barrier_style(config),
-        schedule: config.schedule,
-        adc_period_cycles: calib_period,
-    };
-    let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
+    let app = build(calib_period)?;
     let calib = recording(config, config.calibration_s.min(config.duration_s));
     let platform = run_window(&app, calib.leads.clone(), calib_period, config.forwarding)?;
     let stats = platform.stats();
@@ -404,15 +439,7 @@ pub fn measure_cached(
     let mut feasible_run: Option<(u64, Arc<BuiltApp>, Platform)> = None;
     for _ in 0..24 {
         let period = (required_hz / config.fs as f64).round() as u64;
-        let options = BuildOptions {
-            approach: variant.approach(),
-            broadcast: !config.disable_broadcast,
-            lockstep: !config.disable_lockstep,
-            barrier: barrier_style(config),
-            schedule: config.schedule,
-            adc_period_cycles: period,
-        };
-        let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
+        let app = build(period)?;
         let platform = run_window(&app, calib.leads.clone(), period, config.forwarding)?;
         if platform.adc_overruns() == 0 {
             feasible_run = Some((period, app, platform));
@@ -432,6 +459,7 @@ pub fn measure_cached(
         Some(run) if calib.leads == full.leads => Some(run),
         _ => None,
     };
+    let mut overruns = 0;
     for _attempt in 0..6 {
         let op: OperatingPoint = vfs
             .min_point_for(required_hz, interconnect)
@@ -440,74 +468,32 @@ pub fn measure_cached(
         let (app, platform) = match cached.take() {
             Some((p, app, platform)) if p == period => (app, platform),
             _ => {
-                let options = BuildOptions {
-                    approach: variant.approach(),
-                    broadcast: !config.disable_broadcast,
-                    lockstep: !config.disable_lockstep,
-                    barrier: barrier_style(config),
-                    schedule: config.schedule,
-                    adc_period_cycles: period,
-                };
-                let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
+                let app = build(period)?;
                 let platform = run_window(&app, full.leads.clone(), period, config.forwarding)?;
                 (app, platform)
             }
         };
-        if platform.adc_overruns() > 0 {
+        overruns = platform.adc_overruns();
+        if overruns > 0 {
             required_hz *= 1.15;
             continue;
         }
-        let stats = platform.stats().clone();
-        let activity = Activity::derive(&stats, &app.config, app.active_im_banks());
-        let breakdown = model.average_power(&stats, &app.config, activity, op, required_hz);
-        return Ok(Measurement {
+        return Ok(measurement(
             benchmark,
             variant,
-            active_cores: app.active_cores,
-            active_im_banks: app.active_im_banks(),
-            active_dm_banks: activity.dm_banks_powered,
-            im_broadcast_percent: stats.im.broadcast_percent(),
-            dm_broadcast_percent: stats.dm.broadcast_percent(),
-            clock_hz: required_hz,
-            voltage: op.voltage,
-            code_overhead_percent: app.code_overhead_percent(),
-            runtime_overhead_percent: stats.runtime_overhead_percent(),
-            breakdown,
-            stats,
-            obs: obs_summary(&platform),
-            activity,
+            &app,
+            &platform,
             op,
-            platform_config: app.config.clone(),
-        });
+            required_hz,
+        ));
     }
-    Err(MeasureError::Overruns { overruns: u64::MAX })
+    Err(MeasureError::Overruns { overruns })
 }
 
-/// Measures a multi-core configuration pinned to a given clock (the
-/// `--no-vfs` ablation: same workload, baseline operating point).
-///
-/// # Errors
-///
-/// Same conditions as [`measure`].
-pub fn measure_at_clock(
-    benchmark: BenchmarkId,
-    variant: RunVariant,
-    config: &ExperimentConfig,
-    params: &ClassifierParams,
-    clock_hz: f64,
-) -> Result<Measurement, MeasureError> {
-    measure_at_clock_cached(
-        benchmark,
-        variant,
-        config,
-        params,
-        clock_hz,
-        &BuildCache::new(),
-    )
-}
-
-/// [`measure_at_clock`] with a shared [`BuildCache`] (the sweep-grid
-/// entry point, like [`measure_cached`]).
+/// Measures a configuration pinned to a given clock instead of searching
+/// for the minimum (the `--no-vfs` ablation: same workload, baseline
+/// operating point), building through the shared [`BuildCache`] like
+/// [`measure_cached`].
 ///
 /// # Errors
 ///
@@ -521,21 +507,13 @@ pub fn measure_at_clock_cached(
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
     let vfs = VfsTable::ninety_nm_low_leakage();
-    let model = PowerModel::default();
     let op =
         vfs.min_point_for(clock_hz, variant.interconnect())
             .ok_or(MeasureError::Infeasible {
                 required_hz: clock_hz,
             })?;
     let period = (clock_hz / config.fs as f64).round() as u64;
-    let options = BuildOptions {
-        approach: variant.approach(),
-        broadcast: !config.disable_broadcast,
-        lockstep: !config.disable_lockstep,
-        barrier: barrier_style(config),
-        schedule: config.schedule,
-        adc_period_cycles: period,
-    };
+    let options = build_options(variant, config, period);
     let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
     let full = recording(config, config.duration_s);
     let platform = run_window(&app, full.leads.clone(), period, config.forwarding)?;
@@ -544,28 +522,9 @@ pub fn measure_at_clock_cached(
             overruns: platform.adc_overruns(),
         });
     }
-    let stats = platform.stats().clone();
-    let activity = Activity::derive(&stats, &app.config, app.active_im_banks());
-    let breakdown = model.average_power(&stats, &app.config, activity, op, clock_hz);
-    Ok(Measurement {
-        benchmark,
-        variant,
-        active_cores: app.active_cores,
-        active_im_banks: app.active_im_banks(),
-        active_dm_banks: activity.dm_banks_powered,
-        im_broadcast_percent: stats.im.broadcast_percent(),
-        dm_broadcast_percent: stats.dm.broadcast_percent(),
-        clock_hz,
-        voltage: op.voltage,
-        code_overhead_percent: app.code_overhead_percent(),
-        runtime_overhead_percent: stats.runtime_overhead_percent(),
-        breakdown,
-        stats,
-        obs: obs_summary(&platform),
-        activity,
-        op,
-        platform_config: app.config.clone(),
-    })
+    Ok(measurement(
+        benchmark, variant, &app, &platform, op, clock_hz,
+    ))
 }
 
 #[cfg(test)]

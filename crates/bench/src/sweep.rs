@@ -45,7 +45,7 @@ pub struct SweepCell {
     /// The experiment knobs for this cell.
     pub config: ExperimentConfig,
     /// Pin the run to this clock instead of searching for the minimum
-    /// (the `measure_at_clock` ablations).
+    /// (the [`measure_at_clock_cached`] ablations).
     pub pinned_clock_hz: Option<f64>,
 }
 

@@ -101,7 +101,7 @@ impl EventSink for CountingSink {
                 crate::event::AdcEvent::SampleReady { .. } => self.adc_samples += 1,
                 crate::event::AdcEvent::IrqForwarded { .. } => self.irq_forwards += 1,
             },
-            Event::Power(_) | Event::Phase(_) => {}
+            Event::Power(_) | Event::Phase(_) | Event::Retire { .. } => {}
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use wbsn_isa::{PhaseTable, SyncKind, NO_PHASE};
+use wbsn_isa::{Instr, PhaseTable, SyncKind, NO_PHASE};
 
 /// Why a core failed to retire on a given cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +193,16 @@ pub enum Event {
         /// Run length in cycles.
         len: u64,
     },
+    /// A core retired an instruction. Only the recorder's ring keeps
+    /// these; sinks never see them.
+    Retire {
+        /// The retiring core.
+        core: u8,
+        /// Program counter of the instruction.
+        pc: u32,
+        /// The decoded instruction.
+        instr: Instr,
+    },
 }
 
 /// An event with its cycle stamp — what the recorder's ring holds.
@@ -202,6 +212,13 @@ pub struct TimedEvent {
     pub cycle: u64,
     /// The event.
     pub event: Event,
+}
+
+impl TimedEvent {
+    /// Renders the event as one `[cycle] description` line.
+    pub fn render(&self, phases: Option<&PhaseTable>) -> String {
+        format!("[{:>10}] {}", self.cycle, self.event.render(phases))
+    }
 }
 
 impl Event {
@@ -276,6 +293,7 @@ impl Event {
             Event::StallRun { core, cause, len } => {
                 format!("core{core} stalled {len} cycles ({cause})")
             }
+            Event::Retire { core, pc, instr } => format!("core{core} {pc:#06x}: {instr}"),
         }
     }
 }
@@ -283,6 +301,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wbsn_isa::Reg;
 
     #[test]
     fn events_render_without_a_phase_table() {
@@ -291,12 +310,14 @@ mod tests {
             slept_cycles: 120,
         });
         assert_eq!(e.render(None), "core3 woken after 120 gated cycles");
-        let e = Event::StallRun {
-            core: 1,
-            cause: StallCause::ImConflict,
-            len: 4,
-        };
-        assert!(e.render(None).contains("im-conflict"));
+        for cause in StallCause::ALL {
+            let e = Event::StallRun {
+                core: 1,
+                cause,
+                len: 4,
+            };
+            assert_eq!(e.render(None), format!("core1 stalled 4 cycles ({cause})"));
+        }
         let e = Event::Phase(PhaseEvent::Enter { core: 0, phase: 2 });
         assert_eq!(e.render(None), "core0 entered phase phase2");
         let e = Event::Phase(PhaseEvent::Exit {
@@ -304,6 +325,21 @@ mod tests {
             phase: NO_PHASE,
         });
         assert!(e.render(None).contains("<unmapped>"));
+    }
+
+    #[test]
+    fn retirements_render_pc_and_mnemonic() {
+        let e = Event::Retire {
+            core: 2,
+            pc: 0x47,
+            instr: Instr::add(Reg::R1, Reg::R2, Reg::R3),
+        };
+        assert_eq!(e.render(None), "core2 0x0047: add r1, r2, r3");
+    }
+
+    #[test]
+    fn events_stay_24_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 24);
     }
 
     #[test]

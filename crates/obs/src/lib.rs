@@ -11,6 +11,10 @@
 //!   phase executing at retirement;
 //! * [`TraceJsonSink`] — a Chrome/Perfetto `trace_event` timeline.
 //!
+//! A bounded ring of the most recent events ([`ObsConfig::ring`]) also
+//! keeps every retired instruction, so one channel carries the
+//! retirement trace and the sync-point activity around it.
+//!
 //! The simulator talks to the layer through [`Obs`], a handle that is a
 //! `None` check when observability is disabled: every hook is
 //! `#[inline]` and returns immediately, so the predecoded fast path pays
@@ -36,7 +40,7 @@ pub use profile::{PhaseCounters, PhaseProfiler, PhaseRow, UNMAPPED_PHASE};
 pub use sink::EventSink;
 
 use wbsn_core::{SyncOutcome, MAX_CORES};
-use wbsn_isa::{PhaseTable, SyncKind, NO_PHASE};
+use wbsn_isa::{Instr, PhaseTable, SyncKind, NO_PHASE};
 
 /// What to record.
 #[derive(Debug, Clone, Default)]
@@ -47,8 +51,8 @@ pub struct ObsConfig {
     pub profile: bool,
     /// Run the [`TraceJsonSink`].
     pub trace: bool,
-    /// Keep the most recent events in a ring of this capacity (0
-    /// disables the ring).
+    /// Keep the most recent events, retirements included, in a ring of
+    /// this capacity (0 disables the ring).
     pub ring: usize,
     /// Phase table for pc → phase attribution. Without it, profiling
     /// and phase slices collapse into the unmapped phase.
@@ -139,7 +143,7 @@ impl ObsCore {
             profiler,
             trace,
             extra: Vec::new(),
-            ring: VecDeque::with_capacity(config.ring),
+            ring: VecDeque::with_capacity(config.ring.min(1 << 20)),
             ring_capacity: config.ring,
             phases: config.phases,
             finished: false,
@@ -151,14 +155,20 @@ impl ObsCore {
         self.extra.push(sink);
     }
 
+    /// Appends to the ring, evicting the oldest event when it is full.
     #[inline]
-    fn emit(&mut self, cycle: u64, event: Event) {
+    fn keep(&mut self, cycle: u64, event: Event) {
         if self.ring_capacity > 0 {
             if self.ring.len() == self.ring_capacity {
                 self.ring.pop_front();
             }
             self.ring.push_back(TimedEvent { cycle, event });
         }
+    }
+
+    #[inline]
+    fn emit(&mut self, cycle: u64, event: Event) {
+        self.keep(cycle, event);
         if let Some(sink) = &mut self.counting {
             sink.on_event(cycle, &event);
         }
@@ -245,13 +255,22 @@ impl ObsCore {
         }
     }
 
-    /// `core` retired an instruction this cycle; any open stall run has
-    /// therefore ended.
+    /// `core` retired `instr` from `pc` this cycle; any open stall run
+    /// has therefore ended. The retirement goes to the ring only: sinks
+    /// never see it, so a ring-less recorder pays nothing extra.
     #[inline]
-    pub fn retire(&mut self, cycle: u64, core: usize) {
+    pub fn retire(&mut self, cycle: u64, core: usize, pc: u32, instr: Instr) {
         if self.stall_len[core] > 0 {
             self.flush_stall(core, cycle);
         }
+        self.keep(
+            cycle,
+            Event::Retire {
+                core: core as u8,
+                pc,
+                instr,
+            },
+        );
         if self.profiler.is_some() {
             let slot = self.slot(self.cur_phase[core]);
             if let Some(p) = &mut self.profiler {
@@ -490,7 +509,7 @@ impl ObsCore {
         self.ring
             .iter()
             .skip(skip)
-            .map(|t| format!("[{:>10}] {}", t.cycle, t.event.render(self.phases.as_ref())))
+            .map(|t| t.render(self.phases.as_ref()))
             .collect()
     }
 }
@@ -559,7 +578,7 @@ impl Obs {
     );
     forward!(
         /// See [`ObsCore::retire`].
-        retire(cycle: u64, core: usize)
+        retire(cycle: u64, core: usize, pc: u32, instr: Instr)
     );
     forward!(
         /// See [`ObsCore::sync_op`].
@@ -624,7 +643,7 @@ mod tests {
         assert!(!obs.enabled());
         obs.active_cycle(0, 0, 0);
         obs.stall(1, 0, StallCause::ImConflict);
-        obs.retire(2, 0);
+        obs.retire(2, 0, 0x10, Instr::Nop);
         obs.finish(3);
         assert!(obs.recorder().is_none());
     }
@@ -685,7 +704,7 @@ mod tests {
         obs.stall(5, 0, StallCause::DmConflict);
         obs.stall(6, 0, StallCause::DmConflict);
         obs.stall(7, 0, StallCause::LoadUseHazard);
-        obs.retire(8, 0);
+        obs.retire(8, 0, 0x10, Instr::Nop);
         obs.finish(9);
 
         let rec = obs.recorder().unwrap();
@@ -706,6 +725,90 @@ mod tests {
         let counting = rec.counting().unwrap();
         assert_eq!(counting.total_stall_cycles(), 3);
         assert_eq!(counting.stall_run_cycles.count(), 2);
+    }
+
+    fn ring_only(capacity: usize) -> Obs {
+        let mut obs = Obs::off();
+        obs.enable(
+            2,
+            ObsConfig {
+                ring: capacity,
+                ..ObsConfig::default()
+            },
+        );
+        obs
+    }
+
+    fn retired_cycles(obs: &Obs) -> Vec<u64> {
+        obs.recorder()
+            .unwrap()
+            .events()
+            .filter(|t| matches!(t.event, Event::Retire { .. }))
+            .map(|t| t.cycle)
+            .collect()
+    }
+
+    #[test]
+    fn ring_keeps_the_most_recent_retirements() {
+        let mut obs = ring_only(3);
+        for cycle in 0..5 {
+            obs.retire(cycle, 0, 0x40 + cycle as u32, Instr::Nop);
+        }
+        assert_eq!(retired_cycles(&obs), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn zero_capacity_ring_keeps_nothing() {
+        let mut obs = ring_only(0);
+        for cycle in 0..100 {
+            obs.retire(cycle, 0, 0x40, Instr::Nop);
+            obs.stall(cycle, 1, StallCause::DmConflict);
+            obs.im_access(cycle, cycle as usize % 8);
+        }
+        obs.finish(100);
+        let rec = obs.recorder().unwrap();
+        assert_eq!(rec.events().count(), 0);
+        assert!(rec.tail_rendered(16).is_empty());
+    }
+
+    #[test]
+    fn stall_runs_interleave_with_retirements_in_the_ring() {
+        let mut obs = ring_only(8);
+        obs.retire(1, 0, 0x41, Instr::Nop);
+        obs.stall(2, 0, StallCause::ImConflict);
+        obs.stall(3, 0, StallCause::ImConflict);
+        obs.retire(4, 0, 0x42, Instr::Halt);
+        let lines = obs.recorder().unwrap().tail_rendered(8);
+        assert_eq!(
+            lines,
+            vec![
+                "[         1] core0 0x0041: nop",
+                "[         4] core0 stalled 2 cycles (im-conflict)",
+                "[         4] core0 0x0042: halt",
+            ]
+        );
+        assert_eq!(retired_cycles(&obs), vec![1, 4]);
+    }
+
+    #[test]
+    fn retirements_never_reach_sinks() {
+        let mut obs = Obs::off();
+        obs.enable(
+            1,
+            ObsConfig {
+                counting: true,
+                trace: true,
+                ring: 4,
+                ..ObsConfig::default()
+            },
+        );
+        obs.retire(1, 0, 0x40, Instr::Nop);
+        obs.retire(2, 0, 0x41, Instr::Nop);
+        obs.finish(3);
+        let rec = obs.recorder().unwrap();
+        assert_eq!(rec.events().count(), 2);
+        assert_eq!(rec.counting().unwrap().events, 0);
+        assert!(rec.trace_sink().unwrap().is_empty());
     }
 
     #[test]

@@ -11,11 +11,8 @@ use crate::cpu::{Core, MemIntent, Retire};
 use crate::error::{Fault, FaultKind, SimError};
 use crate::memory::{DataMemory, InstrMemory};
 use crate::mmio::MmioReg;
-#[cfg(feature = "obs")]
-use crate::obs::ObsConfig;
-use crate::obs::{Obs, StallCause};
+use crate::obs::{Obs, ObsConfig, StallCause};
 use crate::stats::SimStats;
-use crate::trace::{StallRecord, TraceEvent, Tracer};
 use crate::watchdog::{CoreDump, PhaseAttribution, PointDump, PostMortem, WatchdogTrip};
 use crate::xbar::{arbitrate_into, Grant, Request};
 
@@ -99,9 +96,8 @@ pub struct Platform {
     synchronizer: Synchronizer,
     adc: Adc,
     stats: SimStats,
-    tracer: Option<Tracer>,
     /// Observability recorder; a disabled handle is a `None` check per
-    /// hook (and a no-op stub without the `obs` feature).
+    /// hook.
     obs: Obs,
     breakpoints: Vec<u32>,
     watchpoints: Vec<u32>,
@@ -200,7 +196,6 @@ impl Platform {
             synchronizer,
             adc,
             stats,
-            tracer: None,
             obs: Obs::off(),
             breakpoints: Vec::new(),
             watchpoints: Vec::new(),
@@ -279,32 +274,20 @@ impl Platform {
         self.config.forwarding = on;
     }
 
-    /// Enables retirement tracing: the last `capacity` retirements of
-    /// the cores selected by `core_mask` (bit per core) are kept in a
-    /// ring readable through [`Platform::trace`].
-    pub fn enable_trace(&mut self, capacity: usize, core_mask: u8) {
-        self.tracer = Some(Tracer::new(capacity, core_mask));
-    }
-
-    /// The retirement trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
     /// Attaches an observability recorder: from the next cycle on, the
     /// platform emits the typed event stream (synchronizer, power,
-    /// phase, ADC, stall runs) into the sinks selected by `config`.
+    /// phase, ADC, stall runs) into the sinks selected by `config`, and
+    /// keeps the last `config.ring` events — retirements included — in
+    /// the recorder's ring.
     ///
     /// Call [`Platform::finish_obs`] after the last cycle to flush open
     /// stall runs and gated intervals before reading results.
-    #[cfg(feature = "obs")]
     pub fn enable_obs(&mut self, config: ObsConfig) {
         self.obs.enable(self.config.cores, config);
     }
 
     /// The observability handle (disabled unless
-    /// [`Platform::enable_obs`] was called; always inert without the
-    /// `obs` feature).
+    /// [`Platform::enable_obs`] was called).
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -401,18 +384,12 @@ impl Platform {
                     .expect("configured point"),
             })
             .collect();
-        let trace_tail = self
-            .tracer
-            .as_ref()
-            .map(|t| t.events().copied().collect())
-            .unwrap_or_default();
         let (obs_tail, phase_profile) = self.obs_post_mortem();
         PostMortem {
             cycle: self.stats.cycles,
             trip,
             cores,
             points,
-            trace_tail,
             obs_tail,
             phase_profile,
         }
@@ -421,7 +398,6 @@ impl Platform {
     /// The observability half of a post-mortem: the rendered tail of the
     /// event ring and the per-(core, phase) attribution, when a recorder
     /// with those sinks is attached.
-    #[cfg(feature = "obs")]
     fn obs_post_mortem(&self) -> (Vec<String>, Vec<PhaseAttribution>) {
         let Some(recorder) = self.obs.recorder() else {
             return (Vec::new(), Vec::new());
@@ -443,11 +419,6 @@ impl Platform {
             })
             .unwrap_or_default();
         (obs_tail, phase_profile)
-    }
-
-    #[cfg(not(feature = "obs"))]
-    fn obs_post_mortem(&self) -> (Vec<String>, Vec<PhaseAttribution>) {
-        (Vec::new(), Vec::new())
     }
 
     /// The accumulated statistics.
@@ -777,14 +748,6 @@ impl Platform {
                     // charge a phantom stall on top of the IM stall.
                     self.slots[slot_idx].core.clear_hazard();
                     self.obs.stall(cycle, slot_idx, StallCause::ImConflict);
-                    if let Some(tracer) = &mut self.tracer {
-                        tracer.record_stall(StallRecord {
-                            cycle,
-                            core: slot_idx,
-                            pc,
-                            cause: StallCause::ImConflict,
-                        });
-                    }
                 }
             }
         }
@@ -801,17 +764,8 @@ impl Platform {
             let Some(decoded) = slot.held else { continue };
             if !self.config.forwarding && slot.core.has_load_use_hazard_mask(decoded.src_mask) {
                 slot.core.clear_hazard();
-                let pc = slot.core.pc();
                 self.stats.cores[idx].stall_hazard += 1;
                 self.obs.stall(cycle, idx, StallCause::LoadUseHazard);
-                if let Some(tracer) = &mut self.tracer {
-                    tracer.record_stall(StallRecord {
-                        cycle,
-                        core: idx,
-                        pc,
-                        cause: StallCause::LoadUseHazard,
-                    });
-                }
                 continue;
             }
             if decoded.mem == MemClass::None {
@@ -934,14 +888,6 @@ impl Platform {
                     self.stats.dm.conflicts += 1;
                     self.stats.cores[slot_idx].stall_dm += 1;
                     self.obs.stall(cycle, slot_idx, StallCause::DmConflict);
-                    if let Some(tracer) = &mut self.tracer {
-                        tracer.record_stall(StallRecord {
-                            cycle,
-                            core: slot_idx,
-                            pc: self.slots[slot_idx].core.pc(),
-                            cause: StallCause::DmConflict,
-                        });
-                    }
                 }
             }
         }
@@ -958,7 +904,7 @@ impl Platform {
             };
             self.stats.cores[slot_idx].instructions += 1;
             self.instr_retired += 1;
-            self.obs.retire(cycle, slot_idx);
+            self.obs.retire(cycle, slot_idx, slot.core.pc(), instr);
             match instr {
                 Instr::Sync { kind, point } => {
                     self.stats.cores[slot_idx].sync_ops += 1;
@@ -969,14 +915,6 @@ impl Platform {
                     self.obs.sleep_op(cycle, slot_idx);
                 }
                 _ => {}
-            }
-            if let Some(tracer) = &mut self.tracer {
-                tracer.record(TraceEvent {
-                    cycle,
-                    core: slot_idx,
-                    pc: slot.core.pc(),
-                    instr,
-                });
             }
             match slot.core.retire(instr, load_value) {
                 Retire::Next => {}
@@ -1020,8 +958,17 @@ impl Platform {
     /// Single-slot specialization of [`Platform::step`]: with one core
     /// there is never an arbitration conflict, so the request/grant
     /// machinery and its scratch buffers collapse into straight-line
-    /// code. Every stat and fault must mirror the general path exactly —
-    /// the differential oracle tests compare the two cycle for cycle.
+    /// code. Every stat and fault must mirror the general path exactly;
+    /// `tests/differential_oracle.rs` runs the same images through both
+    /// (one core vs. two with the second absent) and compares them cycle
+    /// for cycle.
+    ///
+    /// The copy stays because it is faster, and the single-core cells
+    /// of the Table I and Fig. 7 sweeps run on it. Routing single-core
+    /// runs through the general step made the single-core half of
+    /// `examples/sim_throughput 10` 1.5× slower (0.285 → 0.426 s,
+    /// minimum of 6 interleaved runs pinned to one CPU of a 2-vCPU
+    /// Intel Xeon VM).
     fn step_one(&mut self) -> Result<(), SimError> {
         let cycle = self.stats.cycles;
         let crossbar = self.config.interconnect == InterconnectKind::Crossbar;
@@ -1097,17 +1044,8 @@ impl Platform {
                     .has_load_use_hazard_mask(decoded.src_mask)
             {
                 self.slots[0].core.clear_hazard();
-                let pc = self.slots[0].core.pc();
                 self.stats.cores[0].stall_hazard += 1;
                 self.obs.stall(cycle, 0, StallCause::LoadUseHazard);
-                if let Some(tracer) = &mut self.tracer {
-                    tracer.record_stall(StallRecord {
-                        cycle,
-                        core: 0,
-                        pc,
-                        cause: StallCause::LoadUseHazard,
-                    });
-                }
                 break 'exec;
             }
             let ready = if decoded.mem == MemClass::None {
@@ -1189,7 +1127,7 @@ impl Platform {
             };
             self.stats.cores[0].instructions += 1;
             self.instr_retired += 1;
-            self.obs.retire(cycle, 0);
+            self.obs.retire(cycle, 0, self.slots[0].core.pc(), instr);
             match instr {
                 Instr::Sync { kind, point } => {
                     self.stats.cores[0].sync_ops += 1;
@@ -1200,14 +1138,6 @@ impl Platform {
                     self.obs.sleep_op(cycle, 0);
                 }
                 _ => {}
-            }
-            if let Some(tracer) = &mut self.tracer {
-                tracer.record(TraceEvent {
-                    cycle,
-                    core: 0,
-                    pc: self.slots[0].core.pc(),
-                    instr,
-                });
             }
             match self.slots[0].core.retire(instr, load_value) {
                 Retire::Next => {}
@@ -1560,7 +1490,10 @@ mod tests {
         // quiescent exit; with it, a deadlock post-mortem.
         let mut p = single_core_platform("snop 0\nsleep\nhalt\n");
         p.set_watchdog(10_000);
-        p.enable_trace(16, 0xFF);
+        p.enable_obs(ObsConfig {
+            ring: 16,
+            ..ObsConfig::default()
+        });
         let err = p.run(1_000_000).unwrap_err();
         let SimError::Watchdog(pm) = err else {
             panic!("expected watchdog trip, got {err:?}");
@@ -1568,7 +1501,13 @@ mod tests {
         assert_eq!(pm.trip, WatchdogTrip::Deadlock { waiting: vec![0] });
         assert!(pm.cores[0].gated);
         assert!(pm.points[0].value.flags().bits() & 1 != 0, "core 0 flagged");
-        assert!(!pm.trace_tail.is_empty(), "trace tail captured");
+        assert!(
+            pm.obs_tail
+                .iter()
+                .any(|line| line.contains("core0 0x0001: sleep")),
+            "retirement tail captured: {:?}",
+            pm.obs_tail
+        );
         assert!(pm.to_string().contains("deadlock"));
     }
 

@@ -1,8 +1,9 @@
-//! Tracing, arbitration-conflict accounting and fault paths on the full
-//! platform.
+//! Retirement tracing, arbitration-conflict accounting and fault paths
+//! on the full platform.
 
 use wbsn_isa::{assemble_text, Linker, Section};
-use wbsn_sim::{Platform, PlatformConfig, RunExit};
+use wbsn_sim::obs::Event;
+use wbsn_sim::{ObsConfig, Platform, PlatformConfig, RunExit};
 
 fn multi(sections: Vec<(&str, &str, usize)>, entries: &[(usize, &str)]) -> Platform {
     let mut linker = Linker::new();
@@ -30,29 +31,29 @@ fn trace_records_retirements_in_order() {
         )],
         &[(0, "main")],
     );
-    p.enable_trace(16, 0b1);
+    p.enable_obs(ObsConfig {
+        ring: 16,
+        ..ObsConfig::default()
+    });
     assert_eq!(p.run(100).unwrap(), RunExit::AllHalted);
-    let trace = p.trace().expect("enabled");
-    let listing = trace.listing();
-    assert_eq!(trace.len(), 4);
-    assert!(listing.contains("li r1, 2"));
-    assert!(listing.contains("halt"));
-    // Cycles are non-decreasing.
-    let cycles: Vec<u64> = trace.events().map(|e| e.cycle).collect();
-    assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
-}
-
-#[test]
-fn trace_mask_excludes_other_cores() {
-    let mut p = multi(
-        vec![("a", "halt\n", 0), ("b", "nop\nhalt\n", 1)],
-        &[(0, "a"), (1, "b")],
+    let recorder = p.obs().recorder().expect("enabled");
+    let retired: Vec<(u64, u32)> = recorder
+        .events()
+        .filter_map(|t| match t.event {
+            Event::Retire { core: 0, pc, .. } => Some((t.cycle, pc)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retired.len(), 4);
+    assert_eq!(
+        retired.iter().map(|&(_, pc)| pc).collect::<Vec<_>>(),
+        vec![0, 1, 2, 3]
     );
-    p.enable_trace(16, 0b10);
-    p.run(100).unwrap();
-    let trace = p.trace().expect("enabled");
-    assert!(trace.events().all(|e| e.core == 1));
-    assert_eq!(trace.len(), 2);
+    // Cycles are non-decreasing.
+    assert!(retired.windows(2).all(|w| w[0].0 <= w[1].0));
+    let listing = recorder.tail_rendered(16).join("\n");
+    assert!(listing.contains("core0 0x0000: li r1, 2"), "{listing}");
+    assert!(listing.contains("halt"));
 }
 
 /// Two cores looping over different addresses in the same instruction

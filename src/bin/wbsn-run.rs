@@ -13,7 +13,8 @@
 //!                        cycles without progress exits with a
 //!                        post-mortem dump instead of hanging
 //!   --dump <addr:len>    print a data-memory range after the run (repeatable)
-//!   --trace <N>          keep and print the last N retirements
+//!   --trace <N>          keep the last N events in the observability
+//!                        ring and print its retirements and stall runs
 //!   --break <pc>         stop when any core is about to execute pc (repeatable)
 //!   --watch <addr>       stop after any core writes addr (repeatable)
 //!   --trace-json <path>  write a Chrome/Perfetto trace_event timeline
@@ -27,6 +28,7 @@ use std::process::ExitCode;
 
 use wbsn::core::mapping::verify::{verify_image, VerifyConfig};
 use wbsn::isa::{image, PhaseTable};
+use wbsn::sim::obs::Event;
 use wbsn::sim::{stats_json, ObsConfig, Platform, PlatformConfig};
 
 fn usage() -> ExitCode {
@@ -153,9 +155,6 @@ fn main() -> ExitCode {
         }
     };
     platform.set_forwarding(forwarding);
-    if let Some(capacity) = trace {
-        platform.enable_trace(capacity, 0xFF);
-    }
     if let Some(stall_cycles) = watchdog {
         platform.set_watchdog(stall_cycles);
     }
@@ -165,12 +164,12 @@ fn main() -> ExitCode {
     for addr in watchpoints {
         platform.add_watchpoint(addr);
     }
-    if profile || trace_json.is_some() {
+    if profile || trace_json.is_some() || trace.is_some() {
         platform.enable_obs(ObsConfig {
             counting: true,
             profile,
             trace: trace_json.is_some(),
-            ring: 256,
+            ring: trace.unwrap_or(256),
             phases: Some(PhaseTable::from_image(&linked)),
         });
     }
@@ -208,9 +207,9 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("wbsn-run: {e}");
-            if let Some(tracer) = platform.trace() {
+            if trace.is_some() {
                 eprintln!("--- last retirements ---");
-                eprint!("{}", tracer.listing());
+                eprint!("{}", retirement_listing(&platform));
             }
             // A partial timeline is still worth opening in Perfetto:
             // flush whatever the recorder saw before the failure.
@@ -251,11 +250,24 @@ fn main() -> ExitCode {
         }
         println!();
     }
-    if let Some(tracer) = platform.trace() {
+    if trace.is_some() {
         println!("--- last retirements ---");
-        print!("{}", tracer.listing());
+        print!("{}", retirement_listing(&platform));
     }
     ExitCode::SUCCESS
+}
+
+/// The retirement and stall-run lines of the observability ring, oldest
+/// first, one per line.
+fn retirement_listing(platform: &Platform) -> String {
+    let Some(recorder) = platform.obs().recorder() else {
+        return String::new();
+    };
+    recorder
+        .events()
+        .filter(|t| matches!(t.event, Event::Retire { .. } | Event::StallRun { .. }))
+        .map(|t| t.render(recorder.phases()) + "\n")
+        .collect()
 }
 
 fn write_trace_json(platform: &Platform, path: &str) -> Result<(), ExitCode> {

@@ -8,20 +8,27 @@
 //!   comparison meaningful: both platforms do the same work. (RP-CLASS
 //!   compares its classification outputs — see [`rp_class_signature`].)
 //! * **fast vs slow decode** — the predecoded fast path must be
-//!   architecturally invisible: statistics and retirement traces equal
-//!   to the legacy decode-per-cycle path (compiled in via the
-//!   `slow-decode` feature) on every benchmark.
+//!   architecturally invisible: statistics and the observability ring
+//!   (retirements, stall runs, sync activity) equal to the legacy
+//!   decode-per-cycle path (compiled in via the `slow-decode` feature)
+//!   on every benchmark.
+//! * **lone slot vs general step** — a one-core platform runs the
+//!   single-slot copy of the cycle pipeline; the same image on a
+//!   two-core platform whose second core is absent runs the general
+//!   one. Both must agree cycle for cycle.
 //! * **scheduled vs unscheduled** — the load-latency-aware scheduler
 //!   reorders instructions but must never change what is computed:
 //!   scheduled images produce byte-identical DSP outputs on every input
 //!   seed, while spending fewer hazard-stall cycles.
 
 use wbsn::dsp::ecg::{synthesize, EcgConfig, EcgRecording};
+use wbsn::isa::{assemble_text, Linker, Section};
 use wbsn::kernels::{
     build_mf, build_mmd, build_rpclass, layout, Arch, BuildOptions, BuiltApp, ClassifierParams,
     SyncApproach,
 };
-use wbsn::sim::Platform;
+use wbsn::sim::obs::{Event, TimedEvent};
+use wbsn::sim::{InterconnectKind, ObsConfig, Platform, PlatformConfig};
 
 fn recording(seed: u64, fraction: f64) -> EcgRecording {
     synthesize(&EcgConfig {
@@ -186,16 +193,31 @@ fn scheduled_images_produce_identical_dsp_outputs() {
     }
 }
 
-/// Runs one app with the given decode path; tracing captures the last
-/// 4096 retirements of every core.
+/// Runs one app with the given decode path; the observability ring
+/// keeps the last 4096 events of every core, retirements included.
 fn run_traced(app: &BuiltApp, leads: Vec<Vec<i16>>, slow: bool) -> Platform {
     let samples = leads[0].len() as u64;
     let budget = app.config.adc.start_cycle + (samples + 8) * app.config.adc.period_cycles;
     let mut platform = app.platform(leads).expect("platform builds");
     platform.set_slow_decode(slow);
-    platform.enable_trace(4096, 0xFF);
+    platform.enable_obs(ObsConfig {
+        ring: 4096,
+        ..ObsConfig::default()
+    });
     platform.run(budget).expect("no faults");
+    platform.finish_obs();
     platform
+}
+
+/// The recorder's ring, oldest first.
+fn ring(platform: &Platform) -> Vec<TimedEvent> {
+    platform
+        .obs()
+        .recorder()
+        .expect("recorder attached")
+        .events()
+        .copied()
+        .collect()
 }
 
 #[test]
@@ -211,10 +233,17 @@ fn predecoded_fast_path_matches_the_decode_per_cycle_oracle() {
                 "{} {arch:?}: statistics diverge between decode paths",
                 app.name
             );
-            let fast_tail: Vec<_> = fast.trace().expect("traced").events().collect();
-            let slow_tail: Vec<_> = slow.trace().expect("traced").events().collect();
+            let fast_ring = ring(&fast);
+            assert!(
+                fast_ring
+                    .iter()
+                    .any(|t| matches!(t.event, Event::Retire { .. })),
+                "{} {arch:?}: the ring holds retirements",
+                app.name
+            );
             assert_eq!(
-                fast_tail, slow_tail,
+                fast_ring,
+                ring(&slow),
                 "{} {arch:?}: retirement traces diverge between decode paths",
                 app.name
             );
@@ -225,5 +254,108 @@ fn predecoded_fast_path_matches_the_decode_per_cycle_oracle() {
                 app.name
             );
         }
+    }
+}
+
+/// Runs `image` with core 0 as the only present core on a crossbar
+/// platform of `cores` cores, with the counting sink and a ring.
+fn run_lone(
+    image: &wbsn::isa::LinkedImage,
+    base: &PlatformConfig,
+    cores: usize,
+    leads: &[Vec<i16>],
+    budget: u64,
+) -> Platform {
+    let config = PlatformConfig {
+        cores,
+        interconnect: InterconnectKind::Crossbar,
+        shared_words: 0x1000,
+        ..base.clone()
+    };
+    let mut platform = Platform::new(config, image).expect("platform builds");
+    platform.set_adc_streams(leads.to_vec());
+    platform.enable_obs(ObsConfig {
+        counting: true,
+        ring: 4096,
+        ..ObsConfig::default()
+    });
+    platform.run(budget).expect("no faults");
+    platform.finish_obs();
+    platform
+}
+
+/// A one-core platform steps through the single-slot copy of the cycle
+/// pipeline; adding an absent second core routes the same image through
+/// the general step. Everything core 0 and the memories see must match.
+#[test]
+fn lone_slot_step_matches_the_general_step() {
+    let scan = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/asm/scan.asm"
+    ))
+    .expect("scan demo readable");
+    let mut linker = Linker::new();
+    linker.add_section(Section::new(
+        "scan",
+        assemble_text(&scan).expect("scan assembles"),
+    ));
+    linker.set_entry(0, "scan");
+    let scan_image = linker.link().expect("scan links");
+
+    let rec = synthesize(&EcgConfig {
+        fs: 500,
+        duration_s: 1.0,
+        seed: 0x10E,
+        ..EcgConfig::healthy_60s()
+    });
+    let options = options();
+    let mut cases = vec![(
+        "scan",
+        scan_image,
+        PlatformConfig::single_core(),
+        Vec::new(),
+        100_000,
+    )];
+    for app in [
+        build_mf(Arch::SingleCore, &options).expect("mf builds"),
+        build_mmd(Arch::SingleCore, &options).expect("mmd builds"),
+    ] {
+        let samples = rec.leads[0].len() as u64;
+        let budget = app.config.adc.start_cycle + (samples + 8) * app.config.adc.period_cycles;
+        cases.push((app.name, app.image, app.config, rec.leads.clone(), budget));
+    }
+    for (name, image, base, leads, budget) in cases {
+        let lone = run_lone(&image, &base, 1, &leads, budget);
+        let general = run_lone(&image, &base, 2, &leads, budget);
+        let (a, b) = (lone.stats(), general.stats());
+        assert!(a.cores[0].instructions > 0, "{name}: core 0 ran");
+        assert_eq!(a.cycles, b.cycles, "{name}: cycles");
+        assert_eq!(a.cores[0], b.cores[0], "{name}: core 0 statistics");
+        assert_eq!(a.im, b.im, "{name}: instruction-memory statistics");
+        assert_eq!(a.dm, b.dm, "{name}: data-memory statistics");
+        assert_eq!(
+            (a.xbar_im, a.xbar_dm),
+            (b.xbar_im, b.xbar_dm),
+            "{name}: crossbar traversals"
+        );
+        let summary = |p: &Platform| {
+            p.obs()
+                .recorder()
+                .and_then(|r| r.counting())
+                .map(|c| c.summary())
+        };
+        assert_eq!(
+            summary(&lone),
+            summary(&general),
+            "{name}: counting summary"
+        );
+        let lone_ring = ring(&lone);
+        assert!(
+            lone_ring
+                .iter()
+                .any(|t| matches!(t.event, Event::Retire { .. })),
+            "{name}: the ring holds retirements"
+        );
+        assert_eq!(lone_ring, ring(&general), "{name}: ring events");
     }
 }

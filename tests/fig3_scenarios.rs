@@ -157,7 +157,6 @@ fn orphaned_snop_trips_the_runtime_watchdog() {
     let mut platform =
         Platform::new(PlatformConfig::multi_core(), &image).expect("platform builds");
     platform.set_watchdog(50_000);
-    platform.enable_trace(32, 0xFF);
     platform.enable_obs(ObsConfig::full(Some(PhaseTable::from_image(&image))));
 
     let err = platform
@@ -169,13 +168,9 @@ fn orphaned_snop_trips_the_runtime_watchdog() {
     assert_eq!(pm.trip, WatchdogTrip::Deadlock { waiting: vec![1] });
     let point3 = &pm.points[3];
     assert!(point3.value.flags().contains(core(1)), "consumer flagged");
-    assert!(
-        !pm.trace_tail.is_empty(),
-        "post-mortem carries the trace tail"
-    );
-    // The observability recorder feeds the dump: the event-stream tail
-    // must show the consumer registering and gating on point 3, and the
-    // profiler must attribute each core's cycles to its section.
+    // The observability recorder feeds the dump: the event-ring tail
+    // must show the consumer retiring its SLEEP and gating on point 3,
+    // and the profiler must attribute each core's cycles to its section.
     assert!(
         !pm.obs_tail.is_empty(),
         "post-mortem carries the event tail"
@@ -183,6 +178,13 @@ fn orphaned_snop_trips_the_runtime_watchdog() {
     assert!(
         pm.obs_tail.iter().any(|line| line.contains("core1 slept")),
         "{:?}",
+        pm.obs_tail
+    );
+    assert!(
+        pm.obs_tail
+            .iter()
+            .any(|line| line.contains("core1 ") && line.ends_with(": sleep")),
+        "post-mortem carries the retirement tail: {:?}",
         pm.obs_tail
     );
     assert!(
