@@ -4,15 +4,22 @@
 //! §V-A optimization ("the system clock frequency is reduced to the
 //! minimum in order to exploit the benefits of VFS"):
 //!
-//! 1. **Calibrate** — run a short slice of the workload at a generous
-//!    reference clock and record the worst per-core active cycles within
-//!    one sampling period (clock-independent).
-//! 2. **Select** — derive the minimum feasible clock (plus a guard
-//!    band, clamped to the 1 MHz platform floor) and pick the lowest
-//!    voltage whose interconnect-dependent `f_max` covers it.
-//! 3. **Measure** — re-run the full observation window with the sampling
-//!    period implied by the chosen clock, verify no ADC overruns, and
-//!    integrate the run into the Fig. 6 power decomposition.
+//! 1. **Calibrate** — run a short slice of the workload (at most
+//!    `calibration_s` seconds of ECG) at a generous reference clock and
+//!    record the *average* active cycles per sample of the busiest core.
+//!    That average plus the `guard` band, clamped to the 1 MHz platform
+//!    floor, seeds the search. Busy-wait cores spin between samples, so
+//!    their active cycles say nothing about the requirement: busy-wait
+//!    searches start at the 1 MHz floor instead.
+//! 2. **Search** — re-run the calibration slice with the sampling period
+//!    implied by the candidate clock, climbing in ×1.15 steps (at most 24)
+//!    until a run shows no ADC overruns (the paper's real-time criterion).
+//! 3. **Measure** — run the full observation window at that clock, pick
+//!    the lowest voltage whose interconnect-dependent `f_max` covers it,
+//!    and integrate the run into the Fig. 6 power decomposition. A run
+//!    with residual overruns bumps the clock by ×1.15 and tries again, up
+//!    to 6 attempts. When the window fits inside the calibration slice,
+//!    the passing search run *is* the measurement run and is reused.
 
 use std::error::Error;
 use std::fmt;

@@ -6,6 +6,9 @@ use crate::adc::AdcConfig;
 use crate::error::ConfigError;
 use crate::mmio::{MAX_ADC_CHANNELS, MMIO_BASE};
 
+/// Most computing cores a platform may have (the paper's 8-core target).
+pub const MAX_CORES: usize = 8;
+
 /// Interconnect between the cores and the memories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterconnectKind {
@@ -39,7 +42,7 @@ pub enum InterconnectKind {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlatformConfig {
-    /// Number of computing cores (1..=8).
+    /// Number of computing cores (1..=[`MAX_CORES`]).
     pub cores: usize,
     /// Interconnect flavour.
     pub interconnect: InterconnectKind,
@@ -100,7 +103,7 @@ impl PlatformConfig {
     ///
     /// Returns the first violated [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.cores == 0 || self.cores > 8 {
+        if self.cores == 0 || self.cores > MAX_CORES {
             return Err(ConfigError::BadCoreCount(self.cores));
         }
         if self.interconnect == InterconnectKind::Decoder && self.cores != 1 {

@@ -5,8 +5,8 @@ use wbsn_core::{CoreId, Synchronizer};
 use wbsn_isa::{DecodedImage, DecodedInstr, Instr, LinkedImage, MemClass, IM_WORDS};
 
 use crate::adc::Adc;
-use crate::atu::{Atu, DmTarget};
-use crate::config::{InterconnectKind, PlatformConfig};
+use crate::atu::{Atu, DmLocation, DmTarget};
+use crate::config::{InterconnectKind, PlatformConfig, MAX_CORES};
 use crate::cpu::{Core, MemIntent, Retire};
 use crate::error::{Fault, FaultKind, SimError};
 use crate::memory::{DataMemory, InstrMemory};
@@ -64,16 +64,38 @@ enum Ready {
     Store,
 }
 
-/// Per-cycle work buffers, reused across [`Platform::step`] calls so the
-/// hot loop performs no heap allocation once warmed up.
-#[derive(Debug, Default)]
-struct StepScratch {
-    fetch_reqs: Vec<Request>,
-    fetch_grants: Vec<Grant>,
-    ready: Vec<(usize, Ready)>,
-    dm_reqs: Vec<Request>,
-    dm_meta: Vec<(usize, DmTarget, Option<u16>)>,
-    dm_grants: Vec<Grant>,
+// Fillers for the unused tail of a `StackVec`; never read.
+const NO_REQUEST: Request = Request {
+    core: 0,
+    bank: 0,
+    addr: 0,
+    write: false,
+};
+const NO_LOCATION: DmLocation = DmLocation { bank: 0, row: 0 };
+
+/// A list of at most `N` entries kept on the stack: one cycle's
+/// requests or retirements, at most one per slot.
+struct StackVec<T, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy, const N: usize> StackVec<T, N> {
+    fn new(fill: T) -> Self {
+        StackVec {
+            items: [fill; N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..self.len]
+    }
 }
 
 /// The simulated WBSN platform.
@@ -88,7 +110,9 @@ pub struct Platform {
     decoded: DecodedImage,
     dm: DataMemory,
     slots: Vec<Slot>,
-    scratch: StepScratch,
+    /// Grant buffer of a contended crossbar cycle, reused so the hot
+    /// loop performs no heap allocation once warmed up.
+    grants: Vec<Grant>,
     /// Re-decode the binary word on every fetch instead of using the
     /// predecoded image — the differential oracle for the fast path.
     #[cfg(any(test, feature = "slow-decode"))]
@@ -190,7 +214,7 @@ impl Platform {
             decoded,
             dm,
             slots,
-            scratch: StepScratch::default(),
+            grants: Vec::new(),
             #[cfg(any(test, feature = "slow-decode"))]
             slow_decode: false,
             synchronizer,
@@ -634,8 +658,25 @@ impl Platform {
     /// Returns the first fault or synchronization protocol violation.
     pub fn step(&mut self) -> Result<(), SimError> {
         if self.slots.len() == 1 {
-            return self.step_one();
+            self.step_slots::<1>()
+        } else {
+            self.step_slots::<MAX_CORES>()
         }
+    }
+
+    /// The cycle pipeline, instantiated once for the lone slot of the
+    /// single-core baseline and once for the full platform. Per-cycle
+    /// buffers hold at most `N` entries and live on the stack, so with
+    /// `N = 1` they reduce to scalars. The crossbar arbitrates only when
+    /// more than one request reaches it; a lone request always wins its
+    /// bank and a decoder never arbitrates.
+    ///
+    /// Kept out of line: inlined into [`Platform::step`], the two
+    /// instantiations made counting-obs single-core runs ~5% slower
+    /// (`examples/sim_throughput`, pinned to one CPU).
+    #[inline(never)]
+    fn step_slots<const N: usize>(&mut self) -> Result<(), SimError> {
+        debug_assert!(self.slots.len() <= N);
         let cycle = self.stats.cycles;
         let crossbar = self.config.interconnect == InterconnectKind::Crossbar;
         // 1. ADC sampling and interrupt forwarding.
@@ -659,8 +700,8 @@ impl Platform {
         }
 
         // 2. Cycle accounting and fetch requests.
-        self.scratch.fetch_reqs.clear();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
+        let mut fetch_reqs = StackVec::<Request, N>::new(NO_REQUEST);
+        for (idx, slot) in self.slots.iter_mut().enumerate().take(N) {
             if !slot.present || slot.core.is_halted() {
                 continue;
             }
@@ -691,7 +732,7 @@ impl Platform {
                 }
                 .into());
             }
-            self.scratch.fetch_reqs.push(Request {
+            fetch_reqs.push(Request {
                 core: idx,
                 bank: InstrMemory::bank_of(pc),
                 addr: pc,
@@ -699,28 +740,28 @@ impl Platform {
             });
         }
 
-        // 3. Instruction-side arbitration (a decoder never conflicts).
-        if crossbar {
+        // 3. Instruction-side arbitration. `N > 1` lets the one-slot
+        // instantiation drop the branch at compile time.
+        let contended = N > 1 && crossbar && fetch_reqs.len > 1;
+        if contended {
             arbitrate_into(
-                &self.scratch.fetch_reqs,
+                fetch_reqs.as_slice(),
                 cycle as usize,
                 self.config.broadcast,
-                &mut self.scratch.fetch_grants,
+                &mut self.grants,
             );
-        } else {
-            self.scratch.fetch_grants.clear();
-            self.scratch
-                .fetch_grants
-                .resize(self.scratch.fetch_reqs.len(), Grant::Access);
         }
-        for req_idx in 0..self.scratch.fetch_grants.len() {
-            let grant = self.scratch.fetch_grants[req_idx];
-            let slot_idx = self.scratch.fetch_reqs[req_idx].core;
-            let pc = self.scratch.fetch_reqs[req_idx].addr;
+        for (i, req) in fetch_reqs.as_slice().iter().enumerate() {
+            let grant = if contended {
+                self.grants[i]
+            } else {
+                Grant::Access
+            };
+            let (slot_idx, pc) = (req.core, req.addr);
             match grant {
                 Grant::Access | Grant::Broadcast => {
                     if grant == Grant::Access {
-                        self.stats.im.reads[self.scratch.fetch_reqs[req_idx].bank] += 1;
+                        self.stats.im.reads[req.bank] += 1;
                     } else {
                         self.stats.im.broadcasts += 1;
                     }
@@ -735,8 +776,7 @@ impl Platform {
                         kind: FaultKind::BadInstruction,
                     }))?;
                     debug_assert!(self.im.fetch(pc).is_some());
-                    self.obs
-                        .im_access(cycle, self.scratch.fetch_reqs[req_idx].bank);
+                    self.obs.im_access(cycle, req.bank);
                     self.slots[slot_idx].held = Some(instr);
                 }
                 Grant::Stall => {
@@ -753,10 +793,10 @@ impl Platform {
         }
 
         // 4. Hazards and memory intents for every held instruction.
-        self.scratch.ready.clear();
-        self.scratch.dm_reqs.clear();
-        self.scratch.dm_meta.clear();
-        for idx in 0..self.slots.len() {
+        let mut ready = StackVec::<(usize, Ready), N>::new((0, Ready::NoMem));
+        let mut dm_reqs = StackVec::<Request, N>::new(NO_REQUEST);
+        let mut dm_meta = StackVec::<(DmLocation, Option<u16>), N>::new((NO_LOCATION, None));
+        for idx in 0..self.slots.len().min(N) {
             let slot = &mut self.slots[idx];
             if !slot.present || slot.core.is_halted() || slot.core.is_gated() || slot.bubble {
                 continue;
@@ -769,7 +809,7 @@ impl Platform {
                 continue;
             }
             if decoded.mem == MemClass::None {
-                self.scratch.ready.push((idx, Ready::NoMem));
+                ready.push((idx, Ready::NoMem));
                 continue;
             }
             let intent = slot
@@ -791,13 +831,13 @@ impl Platform {
             })?;
             match target {
                 DmTarget::Memory { location, .. } => {
-                    self.scratch.dm_reqs.push(Request {
+                    dm_reqs.push(Request {
                         core: idx,
                         bank: location.bank,
                         addr,
                         write: store.is_some(),
                     });
-                    self.scratch.dm_meta.push((idx, target, store));
+                    dm_meta.push((location, store));
                 }
                 DmTarget::SyncPoint(point) => {
                     if store.is_some() {
@@ -811,43 +851,45 @@ impl Platform {
                     }
                     let word = self.synchronizer.point_value(point)?.to_word();
                     self.stats.sync_region_reads += 1;
-                    self.scratch.ready.push((idx, Ready::Load(word)));
+                    ready.push((idx, Ready::Load(word)));
                 }
                 DmTarget::Mmio(mmio_addr) => {
                     let value = self.access_mmio(idx, mmio_addr, store)?;
                     match store {
-                        Some(_) => self.scratch.ready.push((idx, Ready::Store)),
-                        None => self.scratch.ready.push((idx, Ready::Load(value))),
+                        Some(_) => ready.push((idx, Ready::Store)),
+                        None => ready.push((idx, Ready::Load(value))),
                     }
                 }
             }
         }
 
         // 5. Data-side arbitration and physical accesses.
-        if crossbar {
+        let contended = N > 1 && crossbar && dm_reqs.len > 1;
+        if contended {
             arbitrate_into(
-                &self.scratch.dm_reqs,
+                dm_reqs.as_slice(),
                 cycle as usize,
                 self.config.broadcast,
-                &mut self.scratch.dm_grants,
+                &mut self.grants,
             );
-        } else {
-            self.scratch.dm_grants.clear();
-            self.scratch
-                .dm_grants
-                .resize(self.scratch.dm_reqs.len(), Grant::Access);
         }
         // Broadcast loads observe the winner's value; resolve accesses in
         // grant order: all reads of one address see the pre-write value
         // only if no write won — writes and reads of the same address
         // never both win in one cycle, so read-after-write hazards within
         // a cycle cannot occur.
-        for i in 0..self.scratch.dm_grants.len() {
-            let grant = self.scratch.dm_grants[i];
-            let (slot_idx, target, store) = self.scratch.dm_meta[i];
-            let DmTarget::Memory { location, .. } = target else {
-                unreachable!("only banked targets are arbitrated");
+        for (i, (req, &(location, store))) in dm_reqs
+            .as_slice()
+            .iter()
+            .zip(dm_meta.as_slice())
+            .enumerate()
+        {
+            let grant = if contended {
+                self.grants[i]
+            } else {
+                Grant::Access
             };
+            let slot_idx = req.core;
             match grant {
                 Grant::Access => {
                     if crossbar {
@@ -858,19 +900,15 @@ impl Platform {
                         Some(value) => {
                             self.stats.dm.writes[location.bank] += 1;
                             self.dm.write(location, value);
-                            if !self.watchpoints.is_empty() {
-                                let addr = self.scratch.dm_reqs[i].addr;
-                                if self.watchpoints.contains(&addr) {
-                                    self.watch_hit = Some((slot_idx, addr));
-                                }
+                            if !self.watchpoints.is_empty() && self.watchpoints.contains(&req.addr)
+                            {
+                                self.watch_hit = Some((slot_idx, req.addr));
                             }
-                            self.scratch.ready.push((slot_idx, Ready::Store));
+                            ready.push((slot_idx, Ready::Store));
                         }
                         None => {
                             self.stats.dm.reads[location.bank] += 1;
-                            self.scratch
-                                .ready
-                                .push((slot_idx, Ready::Load(self.dm.read(location))));
+                            ready.push((slot_idx, Ready::Load(self.dm.read(location))));
                         }
                     }
                 }
@@ -880,9 +918,7 @@ impl Platform {
                     }
                     self.stats.dm.broadcasts += 1;
                     self.obs.dm_access(cycle, location.bank);
-                    self.scratch
-                        .ready
-                        .push((slot_idx, Ready::Load(self.dm.read(location))));
+                    ready.push((slot_idx, Ready::Load(self.dm.read(location))));
                 }
                 Grant::Stall => {
                     self.stats.dm.conflicts += 1;
@@ -893,8 +929,7 @@ impl Platform {
         }
 
         // 6. Retirement.
-        for i in 0..self.scratch.ready.len() {
-            let (slot_idx, r) = self.scratch.ready[i];
+        for &(slot_idx, r) in ready.as_slice() {
             let slot = &mut self.slots[slot_idx];
             let decoded = slot.held.take().expect("ready instructions were held");
             let instr = decoded.instr;
@@ -948,227 +983,6 @@ impl Platform {
             slot.core.set_gated(false);
             // Invariant guard: a load retired just before a sleep must
             // not charge the first post-wake instruction a hazard stall.
-            slot.core.clear_hazard();
-        }
-
-        self.stats.cycles += 1;
-        Ok(())
-    }
-
-    /// Single-slot specialization of [`Platform::step`]: with one core
-    /// there is never an arbitration conflict, so the request/grant
-    /// machinery and its scratch buffers collapse into straight-line
-    /// code. Every stat and fault must mirror the general path exactly;
-    /// `tests/differential_oracle.rs` runs the same images through both
-    /// (one core vs. two with the second absent) and compares them cycle
-    /// for cycle.
-    ///
-    /// The copy stays because it is faster, and the single-core cells
-    /// of the Table I and Fig. 7 sweeps run on it. Routing single-core
-    /// runs through the general step made the single-core half of
-    /// `examples/sim_throughput 10` 1.5× slower (0.285 → 0.426 s,
-    /// minimum of 6 interleaved runs pinned to one CPU of a 2-vCPU
-    /// Intel Xeon VM).
-    fn step_one(&mut self) -> Result<(), SimError> {
-        let cycle = self.stats.cycles;
-        let crossbar = self.config.interconnect == InterconnectKind::Crossbar;
-
-        // ADC sampling and interrupt forwarding.
-        let irq_mask = self.adc.tick(cycle);
-        if irq_mask != 0 {
-            self.stats.adc_samples += 1;
-            self.obs.adc_sample(cycle, irq_mask);
-            for source in 0..16 {
-                if irq_mask & (1 << source) != 0 {
-                    self.synchronizer.raise_irq(source);
-                }
-            }
-            let cs = &mut self.stats.cores[0];
-            cs.max_window_active = cs.max_window_active.max(cs.window_active);
-            cs.window_active = 0;
-            self.stats.adc_overruns = self.adc.overruns();
-        }
-
-        'exec: {
-            // Cycle accounting and fetch.
-            if !self.slots[0].present || self.slots[0].core.is_halted() {
-                break 'exec;
-            }
-            if self.slots[0].core.is_gated() {
-                self.stats.cores[0].gated_cycles += 1;
-                break 'exec;
-            }
-            {
-                let cs = &mut self.stats.cores[0];
-                cs.active_cycles += 1;
-                cs.window_active += 1;
-            }
-            self.obs.active_cycle(cycle, 0, self.slots[0].core.pc());
-            if self.slots[0].bubble {
-                self.slots[0].bubble = false;
-                self.stats.cores[0].bubbles += 1;
-                self.obs.bubble(cycle, 0);
-                break 'exec;
-            }
-            if self.slots[0].held.is_none() {
-                let pc = self.slots[0].core.pc();
-                if pc as usize >= IM_WORDS {
-                    return Err(Fault {
-                        core: 0,
-                        pc,
-                        addr: pc,
-                        kind: FaultKind::ImOutOfRange,
-                    }
-                    .into());
-                }
-                // A lone fetch always wins its bank.
-                self.stats.im.reads[InstrMemory::bank_of(pc)] += 1;
-                self.obs.im_access(cycle, InstrMemory::bank_of(pc));
-                if crossbar {
-                    self.stats.xbar_im += 1;
-                }
-                let decoded = self.fetch_decoded(pc).ok_or(SimError::Fault(Fault {
-                    core: 0,
-                    pc,
-                    addr: pc,
-                    kind: FaultKind::BadInstruction,
-                }))?;
-                self.slots[0].held = Some(decoded);
-            }
-
-            // Hazard check and memory resolution.
-            let decoded = self.slots[0].held.expect("fetched or previously held");
-            if !self.config.forwarding
-                && self.slots[0]
-                    .core
-                    .has_load_use_hazard_mask(decoded.src_mask)
-            {
-                self.slots[0].core.clear_hazard();
-                self.stats.cores[0].stall_hazard += 1;
-                self.obs.stall(cycle, 0, StallCause::LoadUseHazard);
-                break 'exec;
-            }
-            let ready = if decoded.mem == MemClass::None {
-                Ready::NoMem
-            } else {
-                let intent = self.slots[0]
-                    .core
-                    .mem_intent(&decoded.instr)
-                    .expect("memory class implies an intent");
-                let (addr, store) = match intent {
-                    MemIntent::Load { addr } => (addr, None),
-                    MemIntent::Store { addr, value } => (addr, Some(value)),
-                };
-                let target = self.atu.translate(0, addr).map_err(|kind| -> SimError {
-                    Fault {
-                        core: 0,
-                        pc: self.slots[0].core.pc(),
-                        addr,
-                        kind,
-                    }
-                    .into()
-                })?;
-                match target {
-                    // A lone request always wins arbitration.
-                    DmTarget::Memory { location, .. } => {
-                        if crossbar {
-                            self.stats.xbar_dm += 1;
-                        }
-                        self.obs.dm_access(cycle, location.bank);
-                        match store {
-                            Some(value) => {
-                                self.stats.dm.writes[location.bank] += 1;
-                                self.dm.write(location, value);
-                                if !self.watchpoints.is_empty() && self.watchpoints.contains(&addr)
-                                {
-                                    self.watch_hit = Some((0, addr));
-                                }
-                                Ready::Store
-                            }
-                            None => {
-                                self.stats.dm.reads[location.bank] += 1;
-                                Ready::Load(self.dm.read(location))
-                            }
-                        }
-                    }
-                    DmTarget::SyncPoint(point) => {
-                        if store.is_some() {
-                            return Err(Fault {
-                                core: 0,
-                                pc: self.slots[0].core.pc(),
-                                addr,
-                                kind: FaultKind::WriteToSyncRegion,
-                            }
-                            .into());
-                        }
-                        let word = self.synchronizer.point_value(point)?.to_word();
-                        self.stats.sync_region_reads += 1;
-                        Ready::Load(word)
-                    }
-                    DmTarget::Mmio(mmio_addr) => {
-                        let value = self.access_mmio(0, mmio_addr, store)?;
-                        match store {
-                            Some(_) => Ready::Store,
-                            None => Ready::Load(value),
-                        }
-                    }
-                }
-            };
-
-            // Retirement.
-            let decoded = self.slots[0]
-                .held
-                .take()
-                .expect("ready instruction was held");
-            let instr = decoded.instr;
-            let load_value = match ready {
-                Ready::Load(v) => Some(v),
-                _ => None,
-            };
-            self.stats.cores[0].instructions += 1;
-            self.instr_retired += 1;
-            self.obs.retire(cycle, 0, self.slots[0].core.pc(), instr);
-            match instr {
-                Instr::Sync { kind, point } => {
-                    self.stats.cores[0].sync_ops += 1;
-                    self.obs.sync_op(cycle, 0, kind, point);
-                }
-                Instr::Sleep => {
-                    self.stats.cores[0].sleeps += 1;
-                    self.obs.sleep_op(cycle, 0);
-                }
-                _ => {}
-            }
-            match self.slots[0].core.retire(instr, load_value) {
-                Retire::Next => {}
-                Retire::Halt => {
-                    self.halted_count += 1;
-                    self.idle_candidate = true;
-                }
-                Retire::Taken => self.slots[0].bubble = true,
-                Retire::Sync { kind, point } => {
-                    self.synchronizer.submit_op(CoreId::new(0)?, kind, point)?;
-                }
-                Retire::Sleep => {
-                    self.synchronizer.request_sleep(CoreId::new(0)?);
-                }
-            }
-        }
-
-        // Synchronizer commit: gating and wake-up.
-        let outcome = self.synchronizer.commit()?;
-        self.obs.sync_outcome(cycle, &outcome);
-        self.stats.sync_region_writes += outcome.memory_writes as u64;
-        if !outcome.slept.is_empty() {
-            self.idle_candidate = true;
-        }
-        for core in outcome.slept.iter() {
-            self.slots[core.index()].core.set_gated(true);
-        }
-        for core in outcome.woken.iter() {
-            let slot = &mut self.slots[core.index()];
-            slot.core.set_gated(false);
-            // Invariant guard, mirroring the multi-core path.
             slot.core.clear_hazard();
         }
 

@@ -70,8 +70,9 @@ pub fn arbitrate(requests: &[Request], rotation: usize, broadcast: bool) -> Vec<
 
 /// Allocation-free form of [`arbitrate`]: clears `grants` and fills it
 /// with one [`Grant`] per request, reusing the vector's capacity. The
-/// simulator's cycle loop calls this twice per cycle, so the grant
-/// buffer must not be reallocated each time.
+/// simulator's cycle loop calls this whenever more than one request
+/// reaches a crossbar, so the grant buffer must not be reallocated each
+/// time.
 pub fn arbitrate_into(
     requests: &[Request],
     rotation: usize,
@@ -230,5 +231,26 @@ mod tests {
     #[test]
     fn empty_request_list() {
         assert!(arbitrate(&[], 0, true).is_empty());
+    }
+
+    /// The cycle loop skips arbitration for a lone request and grants it
+    /// the access directly; this pins that as what arbitration returns.
+    #[test]
+    fn lone_request_always_gets_the_access() {
+        for rotation in 0..8 {
+            for core in 0..8 {
+                for broadcast in [false, true] {
+                    for write in [false, true] {
+                        let reqs = [req(core, 3, 100, write)];
+                        let g = arbitrate(&reqs, rotation, broadcast);
+                        assert_eq!(
+                            g,
+                            vec![Grant::Access],
+                            "{rotation} {core} {broadcast} {write}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -12,10 +12,11 @@
 //!   (retirements, stall runs, sync activity) equal to the legacy
 //!   decode-per-cycle path (compiled in via the `slow-decode` feature)
 //!   on every benchmark.
-//! * **lone slot vs general step** — a one-core platform runs the
-//!   single-slot copy of the cycle pipeline; the same image on a
-//!   two-core platform whose second core is absent runs the general
-//!   one. Both must agree cycle for cycle.
+//! * **lone slot vs full platform** — the cycle body is compiled once
+//!   for one slot and once for eight; a one-core platform runs the
+//!   one-slot instantiation, the same image on a two-core platform whose
+//!   second core is absent runs the eight-slot one. Both must agree
+//!   cycle for cycle.
 //! * **scheduled vs unscheduled** — the load-latency-aware scheduler
 //!   reorders instructions but must never change what is computed:
 //!   scheduled images produce byte-identical DSP outputs on every input
@@ -284,9 +285,10 @@ fn run_lone(
     platform
 }
 
-/// A one-core platform steps through the single-slot copy of the cycle
-/// pipeline; adding an absent second core routes the same image through
-/// the general step. Everything core 0 and the memories see must match.
+/// A one-core platform steps through the one-slot instantiation of the
+/// cycle body, which never arbitrates; adding an absent second core
+/// routes the same image through the eight-slot instantiation. Everything
+/// core 0 and the memories see must match.
 #[test]
 fn lone_slot_step_matches_the_general_step() {
     let scan = std::fs::read_to_string(concat!(
