@@ -5,21 +5,31 @@
 //! minimum in order to exploit the benefits of VFS"):
 //!
 //! 1. **Calibrate** — run a short slice of the workload (at most
-//!    `calibration_s` seconds of ECG) at a generous reference clock and
-//!    record the *average* active cycles per sample of the busiest core.
-//!    That average plus the `guard` band, clamped to the 1 MHz platform
-//!    floor, seeds the search. Busy-wait cores spin between samples, so
-//!    their active cycles say nothing about the requirement: busy-wait
-//!    searches start at the 1 MHz floor instead.
+//!    `calibration_s` seconds of ECG) at a generous reference clock with
+//!    the obs sink off and record the *average* active cycles per sample
+//!    of the busiest core. That average plus the `guard` band, clamped to
+//!    the 1 MHz platform floor, seeds the search. Busy-wait cores spin
+//!    between samples, so their active cycles say nothing about the
+//!    requirement: busy-wait searches start at the 1 MHz floor and run no
+//!    calibration at all.
 //! 2. **Search** — re-run the calibration slice with the sampling period
 //!    implied by the candidate clock, climbing in ×1.15 steps (at most 24)
 //!    until a run shows no ADC overruns (the paper's real-time criterion).
+//!    A probe ends at the first ADC period that shows an overrun: its
+//!    verdict is known there and the rest of the run would be discarded.
 //! 3. **Measure** — run the full observation window at that clock, pick
 //!    the lowest voltage whose interconnect-dependent `f_max` covers it,
 //!    and integrate the run into the Fig. 6 power decomposition. A run
 //!    with residual overruns bumps the clock by ×1.15 and tries again, up
-//!    to 6 attempts. When the window fits inside the calibration slice,
-//!    the passing search run *is* the measurement run and is reused.
+//!    to 6 attempts; the first five end at their first overrun like the
+//!    probes, the last runs its whole window so a failure reports the
+//!    window's real overrun count. When the window fits inside the
+//!    calibration slice, the passing search run *is* the measurement run
+//!    and is reused.
+//!
+//! Every measurement records how many simulator runs it took and how
+//! many cycles they simulated ([`Measurement::sim_runs`],
+//! [`Measurement::stepped_cycles`]).
 
 use std::error::Error;
 use std::fmt;
@@ -196,6 +206,13 @@ pub struct Measurement {
     pub op: OperatingPoint,
     /// The platform configuration of the measurement run.
     pub platform_config: wbsn_sim::PlatformConfig,
+    /// Simulator runs behind this measurement: the calibration slice, the
+    /// search probes and the measurement attempts (a probe reused as the
+    /// measurement counts once).
+    pub sim_runs: u64,
+    /// Cycles those runs simulated; a run stopped at its first ADC
+    /// overrun counts up to where it stopped.
+    pub stepped_cycles: u64,
 }
 
 impl Measurement {
@@ -232,7 +249,8 @@ pub enum MeasureError {
     },
     /// Real-time violations persisted after retries.
     Overruns {
-        /// Overruns observed in the last attempt.
+        /// Overruns over the whole observation window of the last
+        /// attempt (that attempt always runs to the end of its window).
         overruns: u64,
     },
 }
@@ -316,14 +334,38 @@ pub(crate) fn build_app(
     }
 }
 
+/// How much of a window a run simulates, and with which sinks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// The calibration slice: only its core statistics are read, so the
+    /// obs sink stays off.
+    Calibration,
+    /// A search probe or a measurement attempt whose failure is
+    /// discarded: it ends at the first ADC period that shows an overrun,
+    /// and otherwise completes the window like [`Run::Full`].
+    Probe,
+    /// The whole window with the counting sink, overruns or not.
+    Full,
+}
+
+/// What a measurement simulated: runs and the cycles they stepped.
+#[derive(Debug, Default)]
+struct Tally {
+    runs: u64,
+    cycles: u64,
+}
+
 fn run_window(
     app: &BuiltApp,
     leads: Vec<Vec<i16>>,
     period: u64,
     forwarding: bool,
+    run: Run,
+    tally: &mut Tally,
 ) -> Result<Platform, SimError> {
     let samples = leads[0].len() as u64;
-    let total = app.config.adc.start_cycle + samples * period;
+    let start = app.config.adc.start_cycle;
+    let total = start + samples * period;
     let mut platform = app.platform(leads)?;
     // Forwarding is a platform property, not a build property: setting
     // it here keeps the build-cache keys clean (the image is identical
@@ -331,11 +373,36 @@ fn run_window(
     platform.set_forwarding(forwarding);
     // The counting sink is cheap enough to leave on for every cell; its
     // histograms become the per-cell latency digest of the sweep record.
-    platform.enable_obs(ObsConfig::counting_only());
+    // Obs hooks are write-only, so leaving it off changes no statistic.
+    if run != Run::Calibration {
+        platform.enable_obs(ObsConfig::counting_only());
+    }
+    tally.runs += 1;
+    if run == Run::Probe {
+        // Stepping to each ADC tick in turn is the same simulation as one
+        // `run(total)`: `run` resumes exactly where the last call stopped.
+        for k in 0..samples {
+            platform.run(start + k * period)?;
+            if platform.adc_overruns() > 0 {
+                tally.cycles += platform.stats().cycles;
+                return Ok(platform);
+            }
+        }
+    }
     platform.run(total)?;
     platform.idle_until(total);
     platform.finish_obs();
+    tally.cycles += platform.stats().cycles;
     Ok(platform)
+}
+
+/// The latency/stall digest of a run's counting sink.
+fn obs_summary(platform: &Platform) -> Option<ObsSummary> {
+    platform
+        .obs()
+        .recorder()
+        .and_then(|r| r.counting())
+        .map(|c| c.summary())
 }
 
 /// Prices a finished, overrun-free measurement window run at
@@ -347,6 +414,7 @@ fn measurement(
     platform: &Platform,
     op: OperatingPoint,
     clock_hz: f64,
+    tally: &Tally,
 ) -> Measurement {
     let stats = platform.stats().clone();
     let activity = Activity::derive(&stats, &app.config, app.active_im_banks());
@@ -366,15 +434,12 @@ fn measurement(
         runtime_overhead_percent: stats.runtime_overhead_percent(),
         breakdown,
         stats,
-        // The latency/stall digest of the window's counting sink.
-        obs: platform
-            .obs()
-            .recorder()
-            .and_then(|r| r.counting())
-            .map(|c| c.summary()),
+        obs: obs_summary(platform),
         activity,
         op,
         platform_config: app.config.clone(),
+        sim_runs: tally.runs,
+        stepped_cycles: tally.cycles,
     }
 }
 
@@ -418,23 +483,31 @@ pub fn measure_cached(
 
     // 1. Seed the search with the average per-sample demand (measured at
     // a generous reference clock where real time trivially holds).
-    let calib_period = 20_000u64;
-    let app = build(calib_period)?;
-    let calib = recording(config, config.calibration_s.min(config.duration_s));
-    let platform = run_window(&app, calib.leads.clone(), calib_period, config.forwarding)?;
-    let stats = platform.stats();
-    let samples = stats.adc_samples.max(1) as f64;
-    let avg_window = stats
-        .cores
-        .iter()
-        .map(|c| c.active_cycles as f64 / samples)
-        .fold(0.0f64, f64::max);
     // Busy-wait cores spin between samples, so their active cycles say
-    // nothing about the clock requirement; start those searches from the
-    // platform's clock floor.
+    // nothing about the clock requirement; those searches start from the
+    // platform's clock floor without a calibration run.
+    let calib = recording(config, config.calibration_s.min(config.duration_s));
+    let mut tally = Tally::default();
     let mut required_hz = if variant.approach() == SyncApproach::BusyWait {
         vfs.min_clock_hz
     } else {
+        let calib_period = 20_000u64;
+        let app = build(calib_period)?;
+        let platform = run_window(
+            &app,
+            calib.leads.clone(),
+            calib_period,
+            config.forwarding,
+            Run::Calibration,
+            &mut tally,
+        )?;
+        let stats = platform.stats();
+        let samples = stats.adc_samples.max(1) as f64;
+        let avg_window = stats
+            .cores
+            .iter()
+            .map(|c| c.active_cycles as f64 / samples)
+            .fold(0.0f64, f64::max);
         vfs.clamp_clock(avg_window * config.fs as f64 * (1.0 + config.guard))
     };
 
@@ -447,7 +520,14 @@ pub fn measure_cached(
     for _ in 0..24 {
         let period = (required_hz / config.fs as f64).round() as u64;
         let app = build(period)?;
-        let platform = run_window(&app, calib.leads.clone(), period, config.forwarding)?;
+        let platform = run_window(
+            &app,
+            calib.leads.clone(),
+            period,
+            config.forwarding,
+            Run::Probe,
+            &mut tally,
+        )?;
         if platform.adc_overruns() == 0 {
             feasible_run = Some((period, app, platform));
             break;
@@ -466,8 +546,9 @@ pub fn measure_cached(
         Some(run) if calib.leads == full.leads => Some(run),
         _ => None,
     };
+    const ATTEMPTS: usize = 6;
     let mut overruns = 0;
-    for _attempt in 0..6 {
+    for attempt in 0..ATTEMPTS {
         let op: OperatingPoint = vfs
             .min_point_for(required_hz, interconnect)
             .ok_or(MeasureError::Infeasible { required_hz })?;
@@ -475,8 +556,22 @@ pub fn measure_cached(
         let (app, platform) = match cached.take() {
             Some((p, app, platform)) if p == period => (app, platform),
             _ => {
+                // Only the last attempt's overrun count is ever reported,
+                // so only that attempt runs on past its first overrun.
+                let run = if attempt + 1 == ATTEMPTS {
+                    Run::Full
+                } else {
+                    Run::Probe
+                };
                 let app = build(period)?;
-                let platform = run_window(&app, full.leads.clone(), period, config.forwarding)?;
+                let platform = run_window(
+                    &app,
+                    full.leads.clone(),
+                    period,
+                    config.forwarding,
+                    run,
+                    &mut tally,
+                )?;
                 (app, platform)
             }
         };
@@ -492,6 +587,7 @@ pub fn measure_cached(
             &platform,
             op,
             required_hz,
+            &tally,
         ));
     }
     Err(MeasureError::Overruns { overruns })
@@ -523,14 +619,22 @@ pub fn measure_at_clock_cached(
     let options = build_options(variant, config, period);
     let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
     let full = recording(config, config.duration_s);
-    let platform = run_window(&app, full.leads.clone(), period, config.forwarding)?;
+    let mut tally = Tally::default();
+    let platform = run_window(
+        &app,
+        full.leads,
+        period,
+        config.forwarding,
+        Run::Full,
+        &mut tally,
+    )?;
     if platform.adc_overruns() > 0 {
         return Err(MeasureError::Overruns {
             overruns: platform.adc_overruns(),
         });
     }
     Ok(measurement(
-        benchmark, variant, &app, &platform, op, clock_hz,
+        benchmark, variant, &app, &platform, op, clock_hz, &tally,
     ))
 }
 
@@ -580,5 +684,95 @@ mod tests {
             obs.sync_gap_p99_cycles >= obs.sync_gap_p50_cycles,
             "{obs:?}"
         );
+    }
+
+    /// The image of `(benchmark, variant)` at ADC period `period` and the
+    /// leads of a `duration_s` window under the default configuration.
+    fn window(
+        benchmark: BenchmarkId,
+        variant: RunVariant,
+        duration_s: f64,
+        period: u64,
+    ) -> (BuiltApp, Vec<Vec<i16>>) {
+        let config = ExperimentConfig {
+            duration_s,
+            ..ExperimentConfig::default()
+        };
+        let options = build_options(variant, &config, period);
+        let params = ClassifierParams::default_trained();
+        let app = build_app(benchmark, variant.arch(), &options, &params).unwrap();
+        (app, recording(&config, duration_s).leads)
+    }
+
+    #[test]
+    fn failing_probe_stops_at_its_first_overrun() {
+        let period = 2000;
+        let (app, leads) = window(BenchmarkId::Mmd, RunVariant::MultiCoreBusyWait, 0.5, period);
+        let total = app.config.adc.start_cycle + leads[0].len() as u64 * period;
+        let full = run_window(
+            &app,
+            leads.clone(),
+            period,
+            false,
+            Run::Full,
+            &mut Tally::default(),
+        )
+        .unwrap();
+        assert_eq!(full.stats().cycles, total);
+        assert_eq!(full.adc_overruns(), 96);
+
+        let mut tally = Tally::default();
+        let probe = run_window(&app, leads, period, false, Run::Probe, &mut tally).unwrap();
+        assert!(probe.adc_overruns() >= 1);
+        // The first overrun lands about 23 000 cycles into the 501 000.
+        let stopped = probe.stats().cycles;
+        assert!(stopped < total / 10, "stopped at {stopped} of {total}");
+        assert_eq!((tally.runs, tally.cycles), (1, stopped));
+    }
+
+    #[test]
+    fn passing_probe_is_the_unchunked_run() {
+        for (benchmark, variant, period) in [
+            // SC 3L-MF's minimum period on the 5 s sweep grid.
+            (BenchmarkId::Mf, RunVariant::SingleCore, 4613),
+            (BenchmarkId::Mmd, RunVariant::MultiCoreSync, 2000),
+        ] {
+            let (app, leads) = window(benchmark, variant, 0.5, period);
+            let mut tally = Tally::default();
+            let full =
+                run_window(&app, leads.clone(), period, false, Run::Full, &mut tally).unwrap();
+            let probe = run_window(&app, leads, period, false, Run::Probe, &mut tally).unwrap();
+            let label = format!("{} {}", benchmark.name(), variant.label());
+            assert_eq!(probe.adc_overruns(), 0, "{label}");
+            assert_eq!(probe.stats(), full.stats(), "{label}");
+            assert!(obs_summary(&probe).is_some(), "{label}");
+            assert_eq!(obs_summary(&probe), obs_summary(&full), "{label}");
+            assert_eq!(tally.cycles, 2 * full.stats().cycles, "{label}");
+        }
+    }
+
+    #[test]
+    fn busy_wait_search_builds_no_calibration_image() {
+        let params = ClassifierParams::default_trained();
+        let config = ExperimentConfig {
+            duration_s: 0.5,
+            ..ExperimentConfig::default()
+        };
+        let variant = RunVariant::MultiCoreBusyWait;
+        let cache = BuildCache::new();
+        let m = measure_cached(BenchmarkId::Mf, variant, &config, &params, &cache).unwrap();
+        // Period 2000 fails, period 2300 passes and is reused as the
+        // measurement: two runs, two images, none at the calibration
+        // period.
+        assert_eq!(m.sim_runs, 2);
+        assert_eq!(cache.misses(), 2);
+        for period in [2000, 2300] {
+            let options = build_options(variant, &config, period);
+            cache
+                .get_or_build(BenchmarkId::Mf, variant.arch(), &options, &params)
+                .unwrap();
+        }
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert!(m.stepped_cycles > m.stats.cycles);
     }
 }

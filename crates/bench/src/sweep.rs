@@ -147,13 +147,19 @@ impl SweepReport {
             .collect()
     }
 
-    /// Total simulated cycles across the successful cells.
+    /// Total cycles of the successful cells' measurement windows.
     pub fn simulated_cycles(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .map(|m| m.stats.cycles)
-            .sum()
+        self.measurements().map(|m| m.stats.cycles).sum()
+    }
+
+    /// Total cycles the successful cells simulated, calibration and
+    /// search runs included.
+    pub fn stepped_cycles(&self) -> u64 {
+        self.measurements().map(|m| m.stepped_cycles).sum()
+    }
+
+    fn measurements(&self) -> impl Iterator<Item = &Measurement> {
+        self.outcomes.iter().filter_map(|o| o.result.as_ref().ok())
     }
 
     /// Merges another report into this one (grids run in phases — e.g.
@@ -209,11 +215,15 @@ impl SweepReport {
     /// (`workers` is deliberately excluded for the same reason).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"wbsn-bench-sweep/3\",\n");
+        out.push_str("  \"schema\": \"wbsn-bench-sweep/4\",\n");
         out.push_str(&format!("  \"grid_cells\": {},\n", self.outcomes.len()));
         out.push_str(&format!("  \"wall_s\": {},\n", json_f64(self.wall_s)));
         let cycles = self.simulated_cycles();
         out.push_str(&format!("  \"simulated_cycles\": {cycles},\n"));
+        out.push_str(&format!(
+            "  \"stepped_cycles\": {},\n",
+            self.stepped_cycles()
+        ));
         out.push_str(&format!(
             "  \"simulated_cycles_per_wall_s\": {},\n",
             json_f64(cycles as f64 / self.wall_s.max(1e-9))
@@ -279,6 +289,11 @@ impl SweepReport {
                     ));
                     out.push_str(&format!("      \"active_cores\": {},\n", m.active_cores));
                     out.push_str(&format!("      \"cycles\": {},\n", m.stats.cycles));
+                    out.push_str(&format!("      \"sim_runs\": {},\n", m.sim_runs));
+                    out.push_str(&format!(
+                        "      \"stepped_cycles\": {},\n",
+                        m.stepped_cycles
+                    ));
                     match &m.obs {
                         Some(s) => {
                             out.push_str("      \"obs\": {\n");
@@ -409,7 +424,7 @@ impl SweepReport {
             self.outcomes.len(),
             self.workers,
             self.wall_s,
-            self.simulated_cycles() as f64 / self.wall_s.max(1e-9) / 1e6
+            self.stepped_cycles() as f64 / self.wall_s.max(1e-9) / 1e6
         );
         Ok(())
     }
@@ -556,7 +571,7 @@ mod tests {
         );
         assert!(report.outcomes.is_empty());
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"wbsn-bench-sweep/3\""));
+        assert!(json.contains("\"schema\": \"wbsn-bench-sweep/4\""));
         assert!(json.contains("\"grid_cells\": 0"));
         assert!(json.contains("\"hazard_fixes\": [\n  ]"));
         assert!(json.ends_with("]\n}\n"));

@@ -5,7 +5,8 @@
 //! sweep records must be byte-identical once the wall-clock keys (the
 //! only non-deterministic content, all marked with `wall`) are
 //! stripped, and the outcome order must equal the submission order in
-//! every case.
+//! every case. Every record also counts the simulator work behind each
+//! cell: at least one run, and at least the measurement window's cycles.
 
 use wbsn_bench::{run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell, SweepOptions};
 use wbsn_kernels::ClassifierParams;
@@ -20,7 +21,10 @@ fn grid() -> Vec<SweepCell> {
         SweepCell::new(BenchmarkId::Mf, RunVariant::SingleCore, config.clone()),
         SweepCell::new(BenchmarkId::Mf, RunVariant::MultiCoreSync, config.clone()),
         SweepCell::new(BenchmarkId::Mmd, RunVariant::SingleCore, config.clone()),
-        SweepCell::new(BenchmarkId::Mmd, RunVariant::MultiCoreSync, config),
+        SweepCell::new(BenchmarkId::Mmd, RunVariant::MultiCoreSync, config.clone()),
+        // Searches without calibration, through a probe that stops at
+        // its first overrun.
+        SweepCell::new(BenchmarkId::Mf, RunVariant::MultiCoreBusyWait, config),
     ]
 }
 
@@ -57,12 +61,21 @@ fn worker_count_never_changes_results_or_order() {
             .collect();
         assert_eq!(order, expected_order, "{workers} workers reordered cells");
         for outcome in &report.outcomes {
-            assert!(
-                outcome.result.is_ok(),
-                "{workers} workers: {} {} failed: {:?}",
+            let label = format!(
+                "{workers} workers: {} {}",
                 outcome.cell.benchmark.name(),
-                outcome.cell.variant.label(),
-                outcome.result
+                outcome.cell.variant.label()
+            );
+            let m = match &outcome.result {
+                Ok(m) => m,
+                Err(e) => panic!("{label} failed: {e}"),
+            };
+            assert!(m.sim_runs >= 1, "{label}: {} runs", m.sim_runs);
+            assert!(
+                m.stepped_cycles >= m.stats.cycles,
+                "{label}: stepped {} < window {}",
+                m.stepped_cycles,
+                m.stats.cycles
             );
         }
         views.push(stable_view(&report.to_json()));
@@ -79,6 +92,8 @@ fn worker_count_never_changes_results_or_order() {
     // The stable view still carries the actual measurements.
     assert!(views[0].contains("\"power_uw\""));
     assert!(views[0].contains("\"simulated_cycles\""));
+    assert!(views[0].contains("\"stepped_cycles\""));
+    assert!(views[0].contains("\"sim_runs\""));
 }
 
 #[test]
