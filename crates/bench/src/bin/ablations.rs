@@ -15,15 +15,13 @@
 //! (`WBSN_DURATION_S` overrides the observation window.)
 
 use wbsn_bench::{
-    run_sweep, BenchmarkId, ExperimentConfig, Measurement, RunVariant, SweepCell, SweepOptions,
+    duration_from_env, run_sweep, BenchmarkId, ExperimentConfig, Measurement, RunVariant,
+    SweepCell, SweepOptions,
 };
 use wbsn_kernels::ClassifierParams;
 
 fn main() {
-    let duration_s = std::env::var("WBSN_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
+    let duration_s = duration_from_env(20.0);
     let base = ExperimentConfig {
         duration_s,
         ..ExperimentConfig::default()

@@ -10,7 +10,10 @@
 //! * `WBSN_NO_VFS=1` — ablation: run the multi-core platform at the
 //!   baseline's clock and voltage, isolating the broadcast contribution.
 
-use wbsn_bench::{run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell, SweepOptions};
+use wbsn_bench::{
+    duration_from_env, run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell,
+    SweepOptions,
+};
 use wbsn_kernels::ClassifierParams;
 
 const FRACTIONS: [f64; 7] = [0.0, 0.10, 0.20, 0.25, 0.33, 0.50, 1.00];
@@ -24,10 +27,7 @@ fn config_for(fraction: f64, duration_s: f64) -> ExperimentConfig {
 }
 
 fn main() {
-    let duration_s = std::env::var("WBSN_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
+    let duration_s = duration_from_env(60.0);
     let no_vfs = std::env::var("WBSN_NO_VFS").is_ok();
     let params = ClassifierParams::default_trained();
     let options = SweepOptions::default();

@@ -9,16 +9,16 @@
 //!
 //! Usage: `cargo run --release -p wbsn-bench --bin sensitivity`
 
-use wbsn_bench::{run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell, SweepOptions};
+use wbsn_bench::{
+    duration_from_env, run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell,
+    SweepOptions,
+};
 use wbsn_kernels::ClassifierParams;
 use wbsn_power::{EnergyTable, PowerModel};
 
 fn main() {
     let config = ExperimentConfig {
-        duration_s: std::env::var("WBSN_DURATION_S")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10.0),
+        duration_s: duration_from_env(10.0),
         ..ExperimentConfig::default()
     };
     let params = ClassifierParams::default_trained();

@@ -17,7 +17,10 @@
 //!   hardware-sync cells (the default grid includes them so the record
 //!   diffs the load-use stall bucket before and after each fix).
 
-use wbsn_bench::{run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell, SweepOptions};
+use wbsn_bench::{
+    duration_from_env, run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell,
+    SweepOptions,
+};
 use wbsn_kernels::ClassifierParams;
 
 fn parse_benchmark(name: &str) -> BenchmarkId {
@@ -50,10 +53,7 @@ fn main() {
         RunVariant::MultiCoreSync,
         RunVariant::MultiCoreBusyWait,
     ];
-    let mut duration_s: f64 = std::env::var("WBSN_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
+    let mut duration_s = duration_from_env(60.0);
     let mut options = SweepOptions::default();
     let mut json_path = String::from("BENCH_sweep.json");
     let mut fix_cells = true;

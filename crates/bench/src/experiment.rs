@@ -7,14 +7,14 @@
 //! 1. **Calibrate** — run a short slice of the workload (at most
 //!    `calibration_s` seconds of ECG) at a generous reference clock with
 //!    the obs sink off and record the *average* active cycles per sample
-//!    of the busiest core. That average plus the `guard` band, clamped to
+//!    of the busiest core. That average plus a 10% guard band, clamped to
 //!    the 1 MHz platform floor, seeds the search. Busy-wait cores spin
 //!    between samples, so their active cycles say nothing about the
 //!    requirement: busy-wait searches start at the 1 MHz floor and run no
 //!    calibration at all.
 //! 2. **Search** — re-run the calibration slice with the sampling period
 //!    implied by the candidate clock, climbing in ×1.15 steps (at most 24)
-//!    until a run shows no ADC overruns (the paper's real-time criterion).
+//!    until a run shows no ADC overruns (the paper's real-time condition).
 //!    A probe ends at the first ADC period that shows an overrun: its
 //!    verdict is known there and the rest of the run would be discarded.
 //! 3. **Measure** — run the full observation window at that clock, pick
@@ -122,8 +122,6 @@ pub struct ExperimentConfig {
     pub fs: u32,
     /// Fraction of pathological beats (RP-CLASS input).
     pub pathological_fraction: f64,
-    /// Guard band on the minimum-clock selection.
-    pub guard: f64,
     /// Calibration slice length in seconds.
     pub calibration_s: f64,
     /// Disable crossbar broadcasting (ablation).
@@ -133,10 +131,6 @@ pub struct ExperimentConfig {
     /// Use the preloaded auto-reload barrier extension instead of the
     /// paper's SINC/SDEC protocol.
     pub preloaded_barrier: bool,
-    /// Force the multi-core run onto the baseline's operating point
-    /// (isolates the VFS contribution — ablation for Fig. 7's
-    /// discussion).
-    pub disable_vfs: bool,
     /// Run the load-latency-aware scheduler over every kernel (the
     /// software fix for the load-use stall bucket).
     pub schedule: bool,
@@ -155,17 +149,24 @@ impl Default for ExperimentConfig {
             // 500 Hz.
             fs: 500,
             pathological_fraction: 0.2,
-            guard: 0.10,
             calibration_s: 6.0,
             disable_broadcast: false,
             disable_lockstep: false,
             preloaded_barrier: false,
-            disable_vfs: false,
             schedule: false,
             forwarding: false,
             seed: 0xEC60,
         }
     }
+}
+
+/// The observation window in seconds: `WBSN_DURATION_S` when it parses
+/// as a number, else the calling binary's `default_s`.
+pub fn duration_from_env(default_s: f64) -> f64 {
+    std::env::var("WBSN_DURATION_S")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default_s)
 }
 
 /// Everything measured for one `(benchmark, variant)` configuration.
@@ -459,6 +460,9 @@ pub fn measure(
     measure_cached(benchmark, variant, config, params, &BuildCache::new())
 }
 
+/// Guard band on the calibrated clock that seeds the search.
+const GUARD: f64 = 0.10;
+
 /// [`measure`] with a shared [`BuildCache`]: sweep grids route every
 /// cell through one cache so repeated `(benchmark, arch, options)`
 /// builds are linked once (see the cache module docs for why this can
@@ -508,12 +512,12 @@ pub fn measure_cached(
             .iter()
             .map(|c| c.active_cycles as f64 / samples)
             .fold(0.0f64, f64::max);
-        vfs.clamp_clock(avg_window * config.fs as f64 * (1.0 + config.guard))
+        vfs.clamp_clock(avg_window * config.fs as f64 * (1.0 + GUARD))
     };
 
     // 2. Feasibility search: the minimum clock is the lowest at which a
     // calibration slice shows no ADC overruns — the paper's "meeting
-    // real-time constraints" criterion (work may pipeline across
+    // real-time constraints" condition (work may pipeline across
     // sampling periods thanks to the data registers and buffering, so
     // worst-window heuristics alone are too conservative).
     let mut feasible_run: Option<(u64, Arc<BuiltApp>, Platform)> = None;

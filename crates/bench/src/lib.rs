@@ -15,13 +15,13 @@
 //!   * `fig7` — Fig. 7: RP-CLASS power vs pathological-beat fraction.
 //!   * `ablations`, `sensitivity` — the DESIGN.md studies.
 //!   * `sweep` — the stand-alone sweep driver CLI.
-//!
-//! Criterion micro-benchmarks for the substrates live under `benches/`.
 
 pub mod cache;
 pub mod experiment;
 pub mod sweep;
 
 pub use cache::BuildCache;
-pub use experiment::{measure, BenchmarkId, ExperimentConfig, Measurement, RunVariant};
+pub use experiment::{
+    duration_from_env, measure, BenchmarkId, ExperimentConfig, Measurement, RunVariant,
+};
 pub use sweep::{run_sweep, SweepCell, SweepOptions, SweepReport};

@@ -28,6 +28,7 @@ use std::time::Instant;
 
 use threadpool::ThreadPool;
 use wbsn_kernels::ClassifierParams;
+use wbsn_sim::obs::json;
 
 use crate::cache::BuildCache;
 use crate::experiment::{
@@ -217,7 +218,7 @@ impl SweepReport {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": \"wbsn-bench-sweep/4\",\n");
         out.push_str(&format!("  \"grid_cells\": {},\n", self.outcomes.len()));
-        out.push_str(&format!("  \"wall_s\": {},\n", json_f64(self.wall_s)));
+        out.push_str(&format!("  \"wall_s\": {},\n", json::float(self.wall_s)));
         let cycles = self.simulated_cycles();
         out.push_str(&format!("  \"simulated_cycles\": {cycles},\n"));
         out.push_str(&format!(
@@ -226,7 +227,7 @@ impl SweepReport {
         ));
         out.push_str(&format!(
             "  \"simulated_cycles_per_wall_s\": {},\n",
-            json_f64(cycles as f64 / self.wall_s.max(1e-9))
+            json::float(cycles as f64 / self.wall_s.max(1e-9))
         ));
         out.push_str(&format!("  \"build_cache_hits\": {},\n", self.cache_hits));
         out.push_str(&format!(
@@ -247,11 +248,11 @@ impl SweepReport {
             ));
             out.push_str(&format!(
                 "      \"duration_s\": {},\n",
-                json_f64(cell.config.duration_s)
+                json::float(cell.config.duration_s)
             ));
             out.push_str(&format!(
                 "      \"pathological_fraction\": {},\n",
-                json_f64(cell.config.pathological_fraction)
+                json::float(cell.config.pathological_fraction)
             ));
             out.push_str(&format!("      \"seed\": {},\n", cell.config.seed));
             out.push_str(&format!("      \"schedule\": {},\n", cell.config.schedule));
@@ -262,30 +263,33 @@ impl SweepReport {
             out.push_str(&format!(
                 "      \"pinned_clock_hz\": {},\n",
                 match cell.pinned_clock_hz {
-                    Some(hz) => json_f64(hz),
+                    Some(hz) => json::float(hz),
                     None => "null".to_string(),
                 }
             ));
             out.push_str(&format!(
                 "      \"wall_s\": {},\n",
-                json_f64(outcome.wall_s)
+                json::float(outcome.wall_s)
             ));
             match &outcome.result {
                 Ok(m) => {
                     out.push_str("      \"ok\": true,\n");
-                    out.push_str(&format!("      \"clock_hz\": {},\n", json_f64(m.clock_hz)));
-                    out.push_str(&format!("      \"voltage\": {},\n", json_f64(m.voltage)));
+                    out.push_str(&format!(
+                        "      \"clock_hz\": {},\n",
+                        json::float(m.clock_hz)
+                    ));
+                    out.push_str(&format!("      \"voltage\": {},\n", json::float(m.voltage)));
                     out.push_str(&format!(
                         "      \"power_uw\": {},\n",
-                        json_f64(m.power_uw())
+                        json::float(m.power_uw())
                     ));
                     out.push_str(&format!(
                         "      \"im_broadcast_percent\": {},\n",
-                        json_f64(m.im_broadcast_percent)
+                        json::float(m.im_broadcast_percent)
                     ));
                     out.push_str(&format!(
                         "      \"dm_broadcast_percent\": {},\n",
-                        json_f64(m.dm_broadcast_percent)
+                        json::float(m.dm_broadcast_percent)
                     ));
                     out.push_str(&format!("      \"active_cores\": {},\n", m.active_cores));
                     out.push_str(&format!("      \"cycles\": {},\n", m.stats.cycles));
@@ -337,7 +341,7 @@ impl SweepReport {
                 }
                 Err(e) => {
                     out.push_str("      \"ok\": false,\n");
-                    out.push_str(&format!("      \"error\": \"{}\"\n", json_escape(e)));
+                    out.push_str(&format!("      \"error\": \"{}\"\n", json::escape(e)));
                 }
             }
             out.push_str(if i + 1 < self.outcomes.len() {
@@ -379,23 +383,23 @@ impl SweepReport {
             out.push_str(&format!("      \"stall_hazard_cycles_after\": {after},\n"));
             out.push_str(&format!(
                 "      \"stall_hazard_cut_percent\": {},\n",
-                json_f64(cut)
+                json::float(cut)
             ));
             out.push_str(&format!(
                 "      \"power_uw_before\": {},\n",
-                json_f64(b.power_uw())
+                json::float(b.power_uw())
             ));
             out.push_str(&format!(
                 "      \"power_uw_after\": {},\n",
-                json_f64(f.power_uw())
+                json::float(f.power_uw())
             ));
             out.push_str(&format!(
                 "      \"clock_hz_before\": {},\n",
-                json_f64(b.clock_hz)
+                json::float(b.clock_hz)
             ));
             out.push_str(&format!(
                 "      \"clock_hz_after\": {}\n",
-                json_f64(f.clock_hz)
+                json::float(f.clock_hz)
             ));
             out.push_str(if i + 1 < fixes.len() {
                 "    },\n"
@@ -428,39 +432,6 @@ impl SweepReport {
         );
         Ok(())
     }
-}
-
-/// Formats an `f64` the way the record wants it: JSON has no NaN or
-/// infinities, and Rust's shortest-roundtrip `{}` is deterministic.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Bare integers are valid JSON numbers, but keep the float shape
-        // so consumers see a stable type per key.
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs one measurement cell (the worker body).
@@ -547,20 +518,6 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_f64_is_stable_and_typed() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1e300 * 1e300), "null");
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn empty_grid_produces_a_valid_record() {

@@ -91,13 +91,6 @@ impl ProgramBuilder {
         self.slots.push(Slot::Fixed(instr));
     }
 
-    /// Appends several concrete instructions in order.
-    pub fn push_all<I: IntoIterator<Item = Instr>>(&mut self, instrs: I) {
-        for i in instrs {
-            self.push(i);
-        }
-    }
-
     /// Appends a conditional branch to a (possibly forward) label.
     pub fn branch_to(&mut self, cond: BranchCond, ra: Reg, rb: Reg, label: &str) {
         self.slots.push(Slot::Branch {
@@ -108,24 +101,9 @@ impl ProgramBuilder {
         });
     }
 
-    /// `beq ra, rb, label`.
-    pub fn beq_to(&mut self, ra: Reg, rb: Reg, label: &str) {
-        self.branch_to(BranchCond::Eq, ra, rb, label);
-    }
-
     /// `bne ra, rb, label`.
     pub fn bne_to(&mut self, ra: Reg, rb: Reg, label: &str) {
         self.branch_to(BranchCond::Ne, ra, rb, label);
-    }
-
-    /// `blt ra, rb, label` (signed).
-    pub fn blt_to(&mut self, ra: Reg, rb: Reg, label: &str) {
-        self.branch_to(BranchCond::Lt, ra, rb, label);
-    }
-
-    /// `bge ra, rb, label` (signed).
-    pub fn bge_to(&mut self, ra: Reg, rb: Reg, label: &str) {
-        self.branch_to(BranchCond::Ge, ra, rb, label);
     }
 
     /// Appends an unconditional jump to a label.

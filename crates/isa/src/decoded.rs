@@ -102,11 +102,6 @@ impl DecodedImage {
     pub fn get(&self, addr: u32) -> Option<&DecodedInstr> {
         self.slots.get(addr as usize).and_then(|s| s.as_ref())
     }
-
-    /// Number of addresses holding a valid instruction.
-    pub fn decoded_len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
 }
 
 #[cfg(test)]

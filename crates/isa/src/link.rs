@@ -246,7 +246,7 @@ pub struct PlacedSection {
 
 /// The output of a successful link: a full instruction-memory image plus
 /// the metadata the platform loader needs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkedImage {
     im: Vec<u32>,
     entries: BTreeMap<usize, u32>,
@@ -280,11 +280,6 @@ impl LinkedImage {
     /// Core → entry-address pairs in core order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.entries.iter().map(|(&c, &a)| (c, a))
-    }
-
-    /// Which instruction banks contain code (must stay powered).
-    pub fn bank_usage(&self) -> &[bool] {
-        &self.active_banks
     }
 
     /// Number of instruction banks containing code — Table I's

@@ -397,4 +397,40 @@ mod tests {
         let mmd = build_mmd(Arch::MultiCore, &options).unwrap();
         assert_eq!(mmd.image.sync_words(), 0);
     }
+
+    /// The ADC period only configures the platform's ADC: a build at one
+    /// period links the same image as a build at any other, so the period
+    /// need not key a build cache.
+    #[test]
+    fn adc_period_does_not_reach_the_image() {
+        let params = ClassifierParams::default_trained();
+        for arch in [Arch::SingleCore, Arch::MultiCore] {
+            for approach in [SyncApproach::Hardware, SyncApproach::BusyWait] {
+                let build = |benchmark: usize, adc_period_cycles: u64| {
+                    let options = BuildOptions {
+                        approach,
+                        adc_period_cycles,
+                        ..BuildOptions::default()
+                    };
+                    match benchmark {
+                        0 => build_mf(arch, &options),
+                        1 => build_mmd(arch, &options),
+                        _ => build_rpclass(arch, &options, &params),
+                    }
+                    .unwrap()
+                };
+                for benchmark in 0..3 {
+                    let a = build(benchmark, 2000);
+                    let b = build(benchmark, 6213);
+                    let what = format!("{} {arch:?} {approach:?}", a.name);
+                    assert!(a.image == b.image, "{what}: images differ");
+                    assert_eq!(b.config.adc.period_cycles, 6213, "{what}");
+                    let mut config = b.config.clone();
+                    config.adc.period_cycles = a.config.adc.period_cycles;
+                    config.adc.start_cycle = a.config.adc.start_cycle;
+                    assert_eq!(config, a.config, "{what}");
+                }
+            }
+        }
+    }
 }

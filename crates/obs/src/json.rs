@@ -1,9 +1,9 @@
 //! A minimal JSON reader/writer helper.
 //!
 //! The workspace is offline and carries no serde; the exporter emits
-//! JSON by hand and this module provides the escape helper plus a small
-//! recursive-descent parser used by the `wbsn-trace-check` validator and
-//! the crate's own tests.
+//! JSON by hand and this module provides the escape and number helpers
+//! plus a small recursive-descent parser used by the `wbsn-trace-check`
+//! validator and the crate's own tests.
 
 use std::error::Error;
 use std::fmt;
@@ -24,6 +24,22 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Formats an `f64` as a JSON number that always carries a decimal point,
+/// so consumers see a stable float type per key. Rust's shortest-roundtrip
+/// `{}` is deterministic; JSON has no NaN or infinities, so non-finite
+/// values become `null`.
+pub fn float(value: f64) -> String {
+    if !value.is_finite() {
+        return "null".to_string();
+    }
+    let s = format!("{value}");
+    if s.contains('.') || s.contains('e') {
+        s
+    } else {
+        format!("{s}.0")
+    }
 }
 
 /// A parsed JSON value.
@@ -370,6 +386,22 @@ mod tests {
     fn unescapes_strings() {
         let doc = parse(r#""tab\t quote\" uA pair😀""#).unwrap();
         assert_eq!(doc.as_str(), Some("tab\t quote\" uA pair\u{1F600}"));
+    }
+
+    #[test]
+    fn float_is_stable_and_typed() {
+        assert_eq!(float(1.5), "1.5");
+        assert_eq!(float(0.25), "0.25");
+        assert_eq!(float(2.0), "2.0");
+        assert_eq!(float(f64::NAN), "null");
+        assert_eq!(float(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\r\t"), "\\r\\t");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

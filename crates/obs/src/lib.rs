@@ -552,11 +552,6 @@ impl Obs {
         self.0.as_deref()
     }
 
-    /// The recorder, mutable, if enabled.
-    pub fn recorder_mut(&mut self) -> Option<&mut ObsCore> {
-        self.0.as_deref_mut()
-    }
-
     /// Attaches a caller-provided sink (no-op when disabled).
     pub fn add_sink(&mut self, sink: Box<dyn EventSink + Send>) {
         if let Some(core) = &mut self.0 {

@@ -508,35 +508,6 @@ impl Platform {
         }
     }
 
-    /// Writes a data word through `core`'s address map (loader/test
-    /// convenience).
-    ///
-    /// # Errors
-    ///
-    /// Returns a fault for untranslatable or reserved addresses.
-    pub fn poke_dm_for_core(&mut self, core: usize, addr: u32, value: u16) -> Result<(), SimError> {
-        match self.atu.translate(core, addr) {
-            Ok(DmTarget::Memory { location, .. }) => {
-                self.dm.write(location, value);
-                Ok(())
-            }
-            Ok(_) => Err(Fault {
-                core,
-                pc: 0,
-                addr,
-                kind: FaultKind::WriteToSyncRegion,
-            }
-            .into()),
-            Err(kind) => Err(Fault {
-                core,
-                pc: 0,
-                addr,
-                kind,
-            }
-            .into()),
-        }
-    }
-
     /// Runs until every core halts, the platform becomes quiescent, or
     /// `max_cycles` elapse.
     ///

@@ -2,6 +2,7 @@
 
 use wbsn_core::SyncStats;
 use wbsn_isa::{DM_BANKS, IM_BANKS};
+use wbsn_obs::json;
 
 /// Per-core cycle and instruction accounting.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -180,21 +181,6 @@ impl SimStats {
     }
 }
 
-/// JSON shape for an `f64`: always carries a decimal point or exponent
-/// so the value round-trips as a float; non-finite values become
-/// `null`.
-fn jf(value: f64) -> String {
-    if !value.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{value}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
 fn bank_json(bank: &BankStats) -> String {
     let list = |values: &[u64]| -> String {
         let items: Vec<String> = values.iter().map(u64::to_string).collect();
@@ -206,7 +192,7 @@ fn bank_json(bank: &BankStats) -> String {
         list(&bank.writes),
         bank.broadcasts,
         bank.conflicts,
-        jf(bank.broadcast_percent()),
+        json::float(bank.broadcast_percent()),
     )
 }
 
@@ -235,7 +221,7 @@ pub fn stats_json(stats: &SimStats, sync: &SyncStats) -> String {
             c.sync_ops,
             c.sleeps,
             c.max_window_active.max(c.window_active),
-            jf(c.duty_cycle()),
+            json::float(c.duty_cycle()),
             if idx + 1 < stats.cores.len() { "," } else { "" },
         ));
     }
@@ -262,7 +248,7 @@ pub fn stats_json(stats: &SimStats, sync: &SyncStats) -> String {
     ));
     out.push_str(&format!(
         "  \"runtime_overhead_percent\": {},\n",
-        jf(stats.runtime_overhead_percent())
+        json::float(stats.runtime_overhead_percent())
     ));
     out.push_str(&format!(
         "  \"worst_window_active\": {},\n",
@@ -361,13 +347,5 @@ mod tests {
         assert!(text.contains("\"merged\": 1"));
         // Byte-stable: the same inputs serialize identically.
         assert_eq!(text, stats_json(&s, &sync));
-    }
-
-    #[test]
-    fn jf_shapes_floats() {
-        assert_eq!(jf(2.0), "2.0");
-        assert_eq!(jf(0.25), "0.25");
-        assert_eq!(jf(f64::NAN), "null");
-        assert_eq!(jf(f64::INFINITY), "null");
     }
 }
