@@ -160,15 +160,6 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// The observation window in seconds: `WBSN_DURATION_S` when it parses
-/// as a number, else the calling binary's `default_s`.
-pub fn duration_from_env(default_s: f64) -> f64 {
-    std::env::var("WBSN_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_s)
-}
-
 /// Everything measured for one `(benchmark, variant)` configuration.
 #[derive(Debug, Clone)]
 pub struct Measurement {

@@ -1,6 +1,6 @@
 //! The parallel experiment sweep engine.
 //!
-//! Every results-producing binary is a grid of independent measurement
+//! Every table of the evaluation is a grid of independent measurement
 //! cells — `(benchmark, variant, config)` triples fed to
 //! [`measure_cached`] (or [`measure_at_clock_cached`] for
 //! clock-pinned ablations). This module runs such grids:
@@ -20,8 +20,7 @@
 //!   marker so differential tooling can strip them.
 //!
 //! Worker count resolution: explicit [`SweepOptions::workers`], else the
-//! `WBSN_WORKERS` environment variable, else the host's available
-//! parallelism.
+//! host's available parallelism.
 
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -92,8 +91,7 @@ pub struct CellOutcome {
 /// Sweep-wide knobs.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Worker threads; `None` resolves `WBSN_WORKERS`, then the host's
-    /// available parallelism.
+    /// Worker threads; `None` means the host's available parallelism.
     pub workers: Option<usize>,
 }
 
@@ -101,11 +99,6 @@ impl SweepOptions {
     /// The effective worker count (≥ 1).
     pub fn resolve_workers(&self) -> usize {
         self.workers
-            .or_else(|| {
-                std::env::var("WBSN_WORKERS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -131,23 +124,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Measurements in grid order; failed cells panic with their error
-    /// (the behaviour every binary wants: a failed reproduction is a
-    /// bug, not a data point).
-    pub fn expect_all(&self) -> Vec<&Measurement> {
-        self.outcomes
-            .iter()
-            .map(|o| match &o.result {
-                Ok(m) => m,
-                Err(e) => panic!(
-                    "{} {} failed: {e}",
-                    o.cell.benchmark.name(),
-                    o.cell.variant.label()
-                ),
-            })
-            .collect()
-    }
-
     /// Total cycles of the successful cells' measurement windows.
     pub fn simulated_cycles(&self) -> u64 {
         self.measurements().map(|m| m.stats.cycles).sum()
@@ -409,28 +385,6 @@ impl SweepReport {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-
-    /// Writes the sweep record to `path`, or to the `WBSN_SWEEP_JSON`
-    /// override when set (an empty override suppresses the record).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the write error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let path = std::env::var("WBSN_SWEEP_JSON").unwrap_or_else(|_| path.to_string());
-        if path.is_empty() {
-            return Ok(());
-        }
-        std::fs::write(&path, self.to_json())?;
-        eprintln!(
-            "# sweep: {} cells, {} workers, {:.1}s wall, {:.1} Msim-cycles/s -> {path}",
-            self.outcomes.len(),
-            self.workers,
-            self.wall_s,
-            self.stepped_cycles() as f64 / self.wall_s.max(1e-9) / 1e6
-        );
-        Ok(())
     }
 }
 
